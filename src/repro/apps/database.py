@@ -67,9 +67,10 @@ class PerformanceDatabase:
         #: queries answered from the memo (still counted in n_exact /
         #: n_interpolated so sparsity diagnostics are unchanged)
         self.n_memo_hits = 0
-        # Attached shared-memory mode: sorted (m, N) configuration rows and
-        # their values, mapped read-only from another process's export.  The
-        # segment handles must outlive the views (dropping them unmaps).
+        # Array mode: sorted (m, N) configuration rows and their values,
+        # read-only.  from_function builds them in one pass; a pool worker
+        # maps them from another process's shared-memory export, and then
+        # the segment handles must outlive the views (dropping them unmaps).
         self._frozen_points: np.ndarray | None = None
         self._frozen_values: np.ndarray | None = None
         self._shm_segments: tuple = ()
@@ -91,18 +92,16 @@ class PerformanceDatabase:
         self._memo.clear()
 
     def _materialize(self) -> None:
-        """Copy attached shared-memory entries into a private dict.
+        """Copy array-mode entries into a private dict.
 
-        Called before any mutation of an attached (read-only) database; the
-        database then behaves exactly like one built locally, and pickles
-        through the plain-dict fallback.
+        Called before any mutation of an array-mode (read-only) database;
+        the database then behaves exactly like one populated by ``add()``.
         """
         assert self._frozen_points is not None and self._frozen_values is not None
         _obs_emit("db.materialize", n_entries=int(self._frozen_values.size))
-        self._entries = {
-            tuple(map(float, p)): float(v)
-            for p, v in zip(self._frozen_points, self._frozen_values)
-        }
+        self._entries = dict(
+            zip(map(tuple, self._frozen_points.tolist()), self._frozen_values.tolist())
+        )
         self._frozen_points = None
         self._frozen_values = None
         for seg in self._shm_segments:
@@ -130,17 +129,46 @@ class PerformanceDatabase:
         ``fraction < 1`` keeps a uniformly random subset of lattice points,
         reproducing the paper's sparse-database setting where interpolation
         actually matters.
+
+        One vectorized pass over :meth:`ParameterSpace.grid_array`, whose
+        grid order is also the sorted row order :meth:`_arrays` returns, so
+        the database keeps the arrays as they are (array mode) and neither
+        the KD-tree nor the shared-memory export sorts again.  RNG contract:
+        at ``fraction < 1`` the keep-mask is one ``gen.random(n)`` draw over
+        the ``n`` lattice points, row *i* kept when its draw is below
+        *fraction* — the same values and the same final generator state as
+        one ``gen.random()`` per point in grid order; ``fraction == 1``
+        draws nothing.  Kept rows are priced with one ``fn.batch`` call
+        when *fn* has one (it must be bitwise equal to calling *fn* per
+        row), otherwise with *fn* per row in grid order.  The result equals
+        ``add()`` of every kept point in grid order.
         """
         if not (0.0 < fraction <= 1.0):
             raise ValueError(f"fraction must lie in (0, 1], got {fraction}")
         gen = as_generator(rng)
-        db = cls(space, k_neighbors=k_neighbors, memo_size=memo_size)
-        for pt in space.grid():
-            if fraction < 1.0 and gen.random() >= fraction:
-                continue
-            db.add(pt, float(fn(pt)))
-        if len(db) == 0:
+        pts = space.grid_array()
+        if fraction < 1.0:
+            pts = pts[gen.random(pts.shape[0]) < fraction]
+        if pts.shape[0] == 0:
             raise ValueError("sampling produced an empty database; raise fraction")
+        batch = getattr(fn, "batch", None)
+        if batch is not None:
+            vals = np.asarray(batch(pts), dtype=float)
+        else:
+            vals = np.array([float(fn(pt)) for pt in pts], dtype=float)
+        inadmissible = ~space.contains_batch(pts)
+        if inadmissible.any():
+            pt = pts[int(np.argmax(inadmissible))]
+            raise ValueError(f"point {pt!r} is not admissible")
+        finite = np.isfinite(vals)
+        if not finite.all():
+            value = float(vals[int(np.argmin(finite))])
+            raise ValueError(f"value must be finite, got {value}")
+        pts.setflags(write=False)
+        vals.setflags(write=False)
+        db = cls(space, k_neighbors=k_neighbors, memo_size=memo_size)
+        db._frozen_points = pts
+        db._frozen_values = vals
         return db
 
     @classmethod
@@ -166,7 +194,7 @@ class PerformanceDatabase:
     @property
     def is_shared(self) -> bool:
         """True while entries live in another process's shared-memory export."""
-        return self._frozen_points is not None
+        return bool(self._shm_segments)
 
     # -- lookup ----------------------------------------------------------------------
 
@@ -362,7 +390,7 @@ class PerformanceDatabase:
         ``SHM_MIN_ENTRIES`` swap their entries for shared-memory descriptors
         so the pickle stays a few hundred bytes and workers attach zero-copy
         views.  Outside a broadcast — or when shared memory is unavailable —
-        the plain entries dict pickles as before.
+        the entries pickle as they are stored (dict or arrays).
         """
         state = self.__dict__.copy()
         # Rebuilt lazily on the receiving side; never worth shipping.
@@ -383,15 +411,8 @@ class PerformanceDatabase:
                 state["_frozen_points"] = None
                 state["_frozen_values"] = None
                 return state
-        if self._frozen_points is not None:
-            # Pickling an attached database without a broadcast: fall back
-            # to a self-contained copy of the entries.
-            state["_entries"] = {
-                tuple(map(float, p)): float(v)
-                for p, v in zip(self._frozen_points, self._frozen_values)
-            }
-            state["_frozen_points"] = None
-            state["_frozen_values"] = None
+        # Without a broadcast the arrays (even views of an attached export)
+        # pickle their data, so the copy is self-contained.
         return state
 
     def __setstate__(self, state: dict) -> None:

@@ -75,6 +75,8 @@ class Cluster:
             len(self._shared_sources)
         )
         shared_load = float(sum(s.load for s in self._shared_sources))
+        #: the last barrier, where every node's clock is parked between runs
+        self.barrier = 0.0
         self.nodes: list[PriorityMachine] = []
         for p in range(n_nodes):
             # Every node replays the *same* shared event sequence: identical
@@ -115,6 +117,10 @@ class Cluster:
     def run(self, costs: CostSpec, n_iterations: int) -> ClusterTrace:
         """Run *n_iterations* barrier-synchronized iterations.
 
+        Node clocks carry over between calls, so a call continues from the
+        barrier the previous one left: two calls of one iteration each
+        observe exactly the two columns of one call of two.
+
         Parameters
         ----------
         costs:
@@ -144,7 +150,7 @@ class Cluster:
         times = np.empty((self.n_nodes, n_iterations), dtype=float)
         barriers = np.empty(n_iterations, dtype=float)
         finishes = np.empty(self.n_nodes, dtype=float)
-        barrier = 0.0
+        barrier = self.barrier
         for k in range(n_iterations):
             if static_works is None:
                 works = (
@@ -164,6 +170,7 @@ class Cluster:
             barriers[k] = barrier
             for node in self.nodes:
                 node.advance_to(barrier)
+        self.barrier = barrier
         return ClusterTrace(
             times=times,
             barrier_times=barriers,

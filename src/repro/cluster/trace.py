@@ -24,7 +24,8 @@ class ClusterTrace:
 
     #: iteration durations, shape (P, K)
     times: np.ndarray
-    #: barrier completion times, shape (K,): barrier_times[k] = Σ_{j<=k} T_j
+    #: barrier completion times on the cluster clock, shape (K,): on a
+    #: fresh cluster barrier_times[k] = Σ_{j<=k} T_j
     barrier_times: np.ndarray
     #: idle throughput ρ of the cluster configuration that produced the trace
     rho: float = 0.0

@@ -86,6 +86,20 @@ class Evaluator(ABC):
             f"{type(self).__name__} does not support precomputed observation"
         )
 
+    def observe_repeated(
+        self, f: float, n: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Barrier times of *n* successive one-point waves of true cost *f*.
+
+        Only meaningful when :attr:`supports_precomputed` is True.  Must
+        return, and leave *rng* in the state of, *n* calls of
+        :meth:`observe_precomputed` on ``[f]``; this default makes them.
+        """
+        wave = np.array([float(f)])
+        return np.array(
+            [self.observe_precomputed(wave, rng)[1] for _ in range(n)], dtype=float
+        )
+
     @property
     def max_wave_size(self) -> int | None:
         """Largest wave the substrate can run at once (None = unbounded)."""
@@ -172,6 +186,13 @@ class FunctionEvaluator(Evaluator):
         y = self.noise.observe_batch(f, rng)
         return y, float(y.max())
 
+    def observe_repeated(
+        self, f: float, n: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        """One block draw from the noise model, whose RNG contract matches:
+        a one-point wave's barrier time is its observation."""
+        return self.noise.observe_repeated(f, n, rng)
+
 
 class DatabaseEvaluator(FunctionEvaluator):
     """The paper's §6 substrate: performance database + noise model."""
@@ -222,11 +243,13 @@ class ClusterEvaluator(Evaluator):
             raise ValueError(
                 f"wave of {len(points)} exceeds the {self.cluster.n_nodes}-node cluster"
             )
-        fill = self._fill_point if self._fill_point is not None else points[0]
         costs = np.empty(self.cluster.n_nodes, dtype=float)
-        for p in range(self.cluster.n_nodes):
-            src = points[p] if p < len(points) else fill
-            costs[p] = self.true_cost(src)
+        for p, point in enumerate(points):
+            costs[p] = self.true_cost(point)
+        if len(points) < self.cluster.n_nodes:
+            # Every idle node runs the same fill point: price it once.
+            fill = self._fill_point if self._fill_point is not None else points[0]
+            costs[len(points):] = self.true_cost(fill)
         trace = self.cluster.run(costs, 1)
         times = trace.times[:, 0]
         return times[: len(points)].copy(), float(times.max())

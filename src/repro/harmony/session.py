@@ -158,6 +158,20 @@ class TuningSession:
             )
         return times, float(t_step)
 
+    def _validate_repeated(self, t_steps: np.ndarray, n: int) -> np.ndarray:
+        """Validate the barrier times of *n* one-point waves at once (a
+        one-point wave's observation is its barrier time)."""
+        t_steps = np.asarray(t_steps, dtype=float)
+        if t_steps.shape != (n,):
+            raise RuntimeError(
+                f"evaluator returned {t_steps.shape} times for {n} one-point waves"
+            )
+        if not (np.isfinite(t_steps).all() and float(t_steps.min()) >= 0.0):
+            raise RuntimeError(
+                f"evaluator returned invalid observation(s): {t_steps!r}"
+            )
+        return t_steps
+
     def _observe(self, pts: list[np.ndarray]) -> tuple[np.ndarray, float]:
         """Observe one wave through the scalar evaluator interface."""
         times, t_step = self.evaluator.observe_wave(pts, self.rng)
@@ -343,34 +357,41 @@ class TuningSession:
 
         tracer = self.tracer
 
-        def record(t_step: float, kind: StepKind, wave_size: int = 1) -> None:
-            step_times.append(float(t_step))
-            step_kinds.append(kind)
+        def record_steps(
+            t_steps: list[float], kind: StepKind, wave_size: int = 1
+        ) -> None:
+            """Record successive steps of one kind with no tell() between
+            them, exactly as one record() call per step would."""
+            first = len(step_times)
+            step_times.extend(t_steps)
+            step_kinds.extend([kind] * len(t_steps))
             if tracer is not None:
-                tracer.emit(
-                    "session.step",
-                    t=len(step_times) - 1,
-                    step_kind=kind.value,
-                    t_step=float(t_step),
-                    wave=int(wave_size),
-                )
+                for t, t_step in enumerate(t_steps, first):
+                    tracer.emit(
+                        "session.step",
+                        t=t,
+                        step_kind=kind.value,
+                        t_step=t_step,
+                        wave=int(wave_size),
+                    )
             initialized = getattr(self.tuner, "initialized", True)
-            if initialized:
-                incumbent_true.append(incumbent_cost())
-            else:
-                incumbent_true.append(float("nan"))
+            cost = incumbent_cost() if initialized else float("nan")
+            incumbent_true.extend([cost] * len(t_steps))
             if self.record_details:
-                details.append(
+                batch_index = (
+                    self.tuner.n_batches if kind is StepKind.EVALUATE else None
+                )
+                details.extend(
                     {
                         "kind": kind.value,
                         "wave_size": int(wave_size),
-                        "batch_index": (
-                            self.tuner.n_batches
-                            if kind is StepKind.EVALUATE
-                            else None
-                        ),
+                        "batch_index": batch_index,
                     }
+                    for _ in t_steps
                 )
+
+        def record(t_step: float, kind: StepKind, wave_size: int = 1) -> None:
+            record_steps([float(t_step)], kind, wave_size)
 
         # Reusable sample matrix: tuners that bound their batch size let us
         # allocate once and slice per batch instead of np.full every loop.
@@ -396,8 +417,22 @@ class TuningSession:
                 # bit-identical to observe_wave, which computes the same f
                 # before making the same draw.
                 if self._fast_eval_active():
-                    f_exploit = np.array([incumbent_cost()], dtype=float)
-                    times, t_step = self._observe_precomputed(f_exploit, 1)
+                    f_exploit = incumbent_cost()
+                    if self.tuner.converged:
+                        # A converged tuner never asks again, so every
+                        # remaining step runs this incumbent: observe them
+                        # in one call, which draws exactly as the per-step
+                        # loop would.
+                        n = self.budget - len(step_times)
+                        t_steps = self._validate_repeated(
+                            self.evaluator.observe_repeated(f_exploit, n, self.rng), n
+                        )
+                        n_measurements += n
+                        record_steps(t_steps.tolist(), StepKind.EXPLOIT)
+                        break
+                    times, t_step = self._observe_precomputed(
+                        np.array([f_exploit], dtype=float), 1
+                    )
                 else:
                     times, t_step = self._observe([self._incumbent()])
                 n_measurements += times.size

@@ -211,6 +211,19 @@ class ParameterSpace:
         for combo in itertools.product(*axes):
             yield np.asarray(combo, dtype=float)
 
+    def grid_array(self) -> np.ndarray:
+        """Every admissible point as one ``(n_points, N)`` array, rows in
+        :meth:`grid` order.
+
+        Every discrete parameter lists its values in increasing order, so
+        the rows are also sorted lexicographically.
+        """
+        if not self.is_discrete:
+            raise ValueError("grid_array() is only defined for fully discrete spaces")
+        axes = [p.values() for p in self._params]  # type: ignore[attr-defined]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        return np.stack(mesh, axis=-1).reshape(-1, self.dimension).astype(float)
+
     # -- stopping-criterion support ---------------------------------------------
 
     def probe_points(self, v0: Sequence[float]) -> list[np.ndarray]:

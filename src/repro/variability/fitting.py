@@ -19,7 +19,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+
+# scipy.stats takes about half a second to import and only the lognormal,
+# Weibull and Lomax fits use it, so they import it on first use.
 
 __all__ = ["FitResult", "fit_candidates", "classify_excess", "classify_tail"]
 
@@ -88,6 +90,8 @@ def _fit_exponential(x: np.ndarray) -> FitResult:
 
 
 def _fit_lognormal(x: np.ndarray) -> FitResult:
+    from scipy import stats
+
     logs = np.log(x)
     mu = float(logs.mean())
     sigma = float(logs.std()) or _EPS
@@ -103,6 +107,8 @@ def _fit_lognormal(x: np.ndarray) -> FitResult:
 
 
 def _fit_weibull(x: np.ndarray) -> FitResult:
+    from scipy import stats
+
     shape, _, scale = stats.weibull_min.fit(x, floc=0.0)
     n = x.size
     ll = float(stats.weibull_min(c=shape, scale=scale).logpdf(x).sum())
@@ -121,6 +127,8 @@ def _fit_lomax(x: np.ndarray) -> FitResult:
     If n ~ Pareto(α, β), then n - β has CCDF (β/(x+β))^α — supported on
     (0, ∞) with the same tail index.  This is the right family for
     baseline-subtracted noise (excess-over-threshold data)."""
+    from scipy import stats
+
     shape, _, scale = stats.lomax.fit(x, floc=0.0)
     n = x.size
     ll = float(stats.lomax(c=shape, scale=scale).logpdf(x).sum())

@@ -64,6 +64,21 @@ class NoiseModel(ABC):
         out = flat + self.sample_noise(flat, gen)
         return out.reshape(arr.shape)
 
+    def observe_repeated(
+        self, f: float, n: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        """*n* successive one-point observations of one noise-free cost *f*.
+
+        RNG contract: the result, and *rng*'s state afterwards, equal *n*
+        calls of :meth:`observe_batch` on the one-element array ``[f]``.
+        This base version makes exactly those calls, so any model is
+        correct here; models whose one-element draws may be concatenated
+        (one vectorized draw of *n* consumes the generator exactly as *n*
+        draws of one) override it with a single draw.
+        """
+        arr = np.array([float(f)])
+        return np.array([self.observe_batch(arr, rng)[0] for _ in range(n)])
+
     def expected_observed(self, f: float | np.ndarray) -> float | np.ndarray:
         """E[y] under this model; default is the two-job Eq. (6)."""
         return np.asarray(f, dtype=float) / (1.0 - self.rho)
@@ -80,6 +95,13 @@ class NoNoise(NoiseModel):
 
     def sample_noise(self, f: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return np.zeros_like(f)
+
+    def observe_repeated(
+        self, f: float, n: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        """One vectorized draw (none from *rng*); see the base contract."""
+        arr = np.full(n, float(f))
+        return arr + self.sample_noise(arr, rng)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "NoNoise()"
@@ -115,6 +137,15 @@ class ParetoNoise(NoiseModel):
         beta = self._beta(f)
         u = rng.random(f.shape)
         return beta * (1.0 - u) ** self._neg_inv_alpha
+
+    def observe_repeated(
+        self, f: float, n: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        """One vectorized draw of *n* uniforms, which consumes *rng* exactly
+        as *n* one-element draws (elementwise noise, so the truncated
+        subclass qualifies too); see the base contract."""
+        arr = np.full(n, float(f))
+        return arr + self.sample_noise(arr, rng)
 
     def n_min(self, f: float | np.ndarray) -> float | np.ndarray:
         if self.rho == 0.0:

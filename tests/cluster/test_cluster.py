@@ -140,3 +140,34 @@ class TestBarrierSemantics:
         solo = Cluster(1, private_sources=private, seed=7).run(1.0, 2000)
         many = Cluster(16, private_sources=private, seed=7).run(1.0, 2000)
         assert many.iteration_maxima().mean() > solo.iteration_maxima().mean()
+
+
+class TestSuccessiveRuns:
+    """A run continues from the barrier the previous run left."""
+
+    @staticmethod
+    def make():
+        return Cluster(
+            6,
+            private_sources=[PoissonArrivals(0.2, ParetoService(1.5, 0.3))],
+            shared_sources=[PeriodicDaemon(2.5, FixedService(0.2))],
+            seed=11,
+        )
+
+    def test_two_single_runs_equal_one_double_run(self):
+        costs = np.linspace(1.0, 2.0, 6)
+        split, joint = self.make(), self.make()
+        first, second = split.run(costs, 1), split.run(costs, 1)
+        both = joint.run(costs, 2)
+        assert np.hstack([first.times, second.times]).tobytes() == both.times.tobytes()
+        assert (
+            np.concatenate([first.barrier_times, second.barrier_times]).tobytes()
+            == both.barrier_times.tobytes()
+        )
+        assert split.barrier == joint.barrier == both.barrier_times[-1]
+
+    def test_noiseless_runs_report_durations_not_the_clock(self):
+        c = Cluster(3, seed=0)
+        steps = [c.run(2.0, 1).iteration_maxima()[0] for _ in range(5)]
+        assert steps == [2.0] * 5
+        assert c.barrier == 10.0

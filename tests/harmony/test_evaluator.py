@@ -89,3 +89,24 @@ class TestClusterEvaluator:
     def test_rho_from_cluster(self):
         ev = self._make(2)
         assert ev.rho == pytest.approx(0.06)
+
+    def test_successive_waves_report_wave_durations(self, rng):
+        ev = ClusterEvaluator(cost_fn, Cluster(3, seed=0))
+        steps = [ev.observe_wave([np.array([1.0])], rng)[1] for _ in range(4)]
+        assert steps == [2.0] * 4
+
+    def test_fill_point_priced_once(self, rng):
+        calls = []
+
+        def counted(p):
+            calls.append(float(p[0]))
+            return cost_fn(p)
+
+        ev = ClusterEvaluator(counted, self._make(4).cluster)
+        ev.set_fill_point(np.array([5.0]))
+        times, t_step = ev.observe_wave([np.array([0.0]), np.array([2.0])], rng)
+        assert calls == [0.0, 2.0, 5.0]
+        # same observation as a per-node cost vector on an identical cluster
+        trace = self._make(4).cluster.run([1.0, 3.0, 6.0, 6.0], 1)
+        assert times.tobytes() == trace.times[:2, 0].tobytes()
+        assert t_step == float(trace.times[:, 0].max())

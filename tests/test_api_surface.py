@@ -2,6 +2,10 @@
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -97,3 +101,23 @@ class TestConsistency:
 
         for name in ("MinEstimator", "MeanEstimator", "MedianEstimator"):
             assert issubclass(getattr(repro, name), Estimator), name
+
+
+class TestImportCost:
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats costs about half a second of every process start
+        # (the CLI, each served shard); only the distribution fits use it.
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        code = (
+            "import sys, repro, repro.cli\n"
+            "print('scipy.stats' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True, timeout=120,
+        )
+        assert out.stdout.strip() == "False"
