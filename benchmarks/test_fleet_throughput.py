@@ -72,7 +72,6 @@ def _run_arm(n_shards: int, base_dir: Path, rounds: int) -> dict:
         n_shards,
         base_dir=base_dir,
         wal=False,
-        transport="threaded",
         wire="binary",
         lease_s=30.0,
         service_delay_us=SERVICE_DELAY_US,
@@ -222,7 +221,6 @@ def _skew_arm(base_dir: Path, total_rounds: int, *, rebalance: bool) -> dict:
         SKEW_SHARDS,
         base_dir=base_dir,
         wal=False,
-        transport="threaded",
         wire="binary",
         lease_s=1.0,
         service_delay_us=SERVICE_DELAY_US,

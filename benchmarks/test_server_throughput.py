@@ -1,24 +1,22 @@
-"""Serving-path throughput: threaded vs async transport, single vs batched.
+"""Serving-path throughput of the asyncio TCP server, single vs batched.
 
 Measures the tuning service's measurement-ingest path — the `fetch`/`report`
 loop every online-tuning client hammers — across the serving matrix:
 
-* transport: thread-per-connection (`TcpServerTransport`) vs asyncio event
-  loop (`AsyncTcpServerTransport`);
 * framing: one JSON message per round trip, JSON batch frames
   (``fetch_many``/``report_many``), or binary batch frames (the negotiated
   ``binproto`` fast path — same client calls, zero-copy array decode);
 * concurrency: 1 / 8 / 32 clients.
 
 Each arm records requests/sec and client-observed round-trip p50/p99 into
-the ``server`` section of ``BENCH_runner.json``.  Two guarded ratios: the
-32-client JSON batched-async arm over the 32-client unbatched-threaded arm
-(the seed's only serving mode), and ``binary_speedup`` — the 32-client
-binary batched-async arm over that JSON batched-async arm, the binary wire
-tentpole's headline.  Each framing runs at its own width (JSON at the
-seed's ``BATCH_WIDTH``, binary at the protocol max) because the arms
-compare *serving modes*; the same-width codec comparison is the ``wire``
-microbench.
+the ``server`` section of ``BENCH_runner.json`` (keys ``async_<framing>``).
+Two guarded ratios: ``speedup`` — the 32-client JSON batched arm over the
+32-client unbatched arm (one message per round trip, the seed's only
+serving mode) — and ``binary_speedup`` — the 32-client binary batched arm
+over that JSON batched arm, the binary wire's headline.  Each framing runs
+at its own width (JSON at the seed's ``BATCH_WIDTH``, binary at the
+protocol max) because the arms compare *serving modes*; the same-width
+codec comparison is the ``wire`` microbench.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from repro.core.sampling import MinEstimator, SamplingPlan
 from repro.harmony.aio import AsyncTcpServerTransport
 from repro.harmony.client import TuningClient
 from repro.harmony.server import TuningServer
-from repro.harmony.transport import TcpClientTransport, TcpServerTransport
+from repro.harmony.transport import TcpClientTransport
 from repro.space import IntParameter, ParameterSpace
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_runner.json"
@@ -54,11 +52,6 @@ BATCH_WIDTH = 16
 BINARY_WIDTH = 1024
 
 CLIENT_COUNTS = (1, 8, 32)
-
-TRANSPORTS = {
-    "threaded": TcpServerTransport,
-    "async": AsyncTcpServerTransport,
-}
 
 
 def _update_bench_json(section: str, payload: dict) -> None:
@@ -107,8 +100,8 @@ def make_server(*, binproto: bool = False, wal_dir=None) -> TuningServer:
     return server
 
 
-def _run_arm(transport_name: str, mode: str, n_clients: int,
-             total_steps: int, wal_dir=None) -> dict:
+def _run_arm(mode: str, n_clients: int, total_steps: int,
+             wal_dir=None) -> dict:
     """One serving arm; returns {rps, p50_ms, p99_ms, msgs, clients}.
 
     *mode* is ``"single"`` (one JSON message per round trip), ``"batched"``
@@ -165,7 +158,7 @@ def _run_arm(transport_name: str, mode: str, n_clients: int,
             except Exception:
                 pass
 
-    with TRANSPORTS[transport_name](server, port=0) as tcp:
+    with AsyncTcpServerTransport(server, port=0) as tcp:
         threads = [
             threading.Thread(target=worker, args=(i,)) for i in range(n_clients)
         ]
@@ -176,7 +169,7 @@ def _run_arm(transport_name: str, mode: str, n_clients: int,
         for t in threads:
             t.join(timeout=120)
         wall = time.perf_counter() - t_start
-    assert not errors, f"client errors in {transport_name} arm: {errors[:3]}"
+    assert not errors, f"client errors in {mode} arm: {errors[:3]}"
     total_msgs = sum(msgs_sent)
     assert server.n_reports == total_msgs // 2, "lost reports under load"
     server.close_wal()
@@ -192,24 +185,21 @@ def _run_arm(transport_name: str, mode: str, n_clients: int,
 
 @pytest.mark.bench_smoke
 def test_smoke_server_throughput(scale):
-    """The serving matrix; headline = batched-async over unbatched-threaded."""
+    """The serving matrix; headline = batched over unbatched JSON."""
     total_steps = 1536 if scale == "full" else 512
     arms: dict[str, dict] = {}
-    for transport_name in TRANSPORTS:
-        for mode in ("single", "batched", "binary"):
-            per_clients = {}
-            for n_clients in CLIENT_COUNTS:
-                per_clients[str(n_clients)] = _run_arm(
-                    transport_name, mode, n_clients, total_steps
-                )
-            arms[f"{transport_name}_{mode}"] = per_clients
+    for mode in ("single", "batched", "binary"):
+        arms[f"async_{mode}"] = {
+            str(n_clients): _run_arm(mode, n_clients, total_steps)
+            for n_clients in CLIENT_COUNTS
+        }
 
-    baseline = arms["threaded_single"]["32"]["rps"]
+    baseline = arms["async_single"]["32"]["rps"]
     contender = arms["async_batched"]["32"]["rps"]
     speedup = contender / baseline
     assert speedup > 1.0, (
-        "the async+batched serving path must beat thread-per-connection "
-        f"unbatched at 32 clients, got {speedup:.2f}x "
+        "JSON batch frames must beat one message per round trip at 32 "
+        f"clients, got {speedup:.2f}x "
         f"({baseline:.0f} -> {contender:.0f} req/s)"
     )
     binary = arms["async_binary"]["32"]["rps"]
@@ -229,8 +219,7 @@ def test_smoke_server_throughput(scale):
 
     with tempfile.TemporaryDirectory() as wal_tmp:
         wal_arm = _run_arm(
-            "async", "binary", 32, total_steps,
-            wal_dir=Path(wal_tmp) / "wal",
+            "binary", 32, total_steps, wal_dir=Path(wal_tmp) / "wal"
         )
     wal_overhead = max(0.0, 1.0 - wal_arm["rps"] / binary)
     assert wal_overhead < 0.10, (

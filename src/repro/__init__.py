@@ -86,7 +86,6 @@ from repro.harmony import (
     PipelinedTcpClientTransport,
     SessionResult,
     TcpClientTransport,
-    TcpServerTransport,
     TuningClient,
     TuningServer,
     TuningSession,
@@ -161,7 +160,6 @@ __all__ = [
     "TuningServer",
     "TuningClient",
     "InProcessTransport",
-    "TcpServerTransport",
     "TcpClientTransport",
     "PipelinedTcpClientTransport",
     "AsyncTcpServerTransport",

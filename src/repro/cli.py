@@ -118,10 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=7077,
                          help="TCP port (0 = let the OS pick a free one)")
-    p_serve.add_argument("--transport", choices=["async", "threaded"],
-                         default="async",
-                         help="asyncio event loop (default) or one thread "
-                         "per connection")
     p_serve.add_argument("--tuner", choices=TUNER_NAMES, default="pro")
     p_serve.add_argument("--k", type=int, default=1,
                          help="samples per candidate (multi-sampling)")
@@ -229,8 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="fleet state directory: per-shard WALs, the "
                          "coordinator registry WAL, logs, port files "
                          "(default: a temporary directory)")
-    p_fleet.add_argument("--transport", choices=["async", "threaded"],
-                         default="threaded")
     p_fleet.add_argument("--wire", choices=["binary", "json"],
                          default="binary")
     p_fleet.add_argument("--tuner", choices=TUNER_NAMES, default="pro")
@@ -520,7 +514,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.harmony.aio import AsyncTcpServerTransport
     from repro.harmony.server import TuningServer
-    from repro.harmony.transport import TcpServerTransport
     from repro.obs import MetricsRegistry
     from repro.obs import trace as obs_trace
 
@@ -590,7 +583,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         from repro.harmony.admission import AdmissionController
 
         # Attached post-construction so WAL recovery and fresh boot share
-        # the code path; the transports pick it up via the server handle.
+        # the code path; the transport picks it up via the server handle.
         server.admission = AdmissionController(
             args.max_pending,
             max_session_pending=args.max_session_pending,
@@ -598,14 +591,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             retry_after_s=args.retry_after_ms / 1e3,
             refill_rate=args.refill_rate,
         )
-    transport_cls = (
-        AsyncTcpServerTransport if args.transport == "async"
-        else TcpServerTransport
-    )
-    with transport_cls(
+    with AsyncTcpServerTransport(
         server, host=args.host, port=args.port, wire=args.wire
     ) as transport:
-        print(f"tuning service ({args.transport}, wire={args.wire}) "
+        print(f"tuning service (wire={args.wire}) "
               f"listening on {args.host}:{transport.port}")
         print(f"tuner {args.tuner}, K={args.k} ({args.estimator}), "
               f"workload preset: {args.workload}")
@@ -731,7 +720,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             n_shards, base_dir=base,
             tuner=args.tuner, seed=args.seed, k=args.k,
             estimator=args.estimator,
-            transport=args.transport, wire=args.wire,
+            wire=args.wire,
             lease_s=args.lease_s, wal=not args.no_wal,
             max_pending=args.max_pending,
             rebalance=args.rebalance,

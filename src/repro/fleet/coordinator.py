@@ -3,7 +3,7 @@
 One coordinator process owns the :class:`~repro.fleet.registry.FleetRegistry`
 (durably, through the same WAL machinery the serving stack uses) and speaks
 the ordinary dict-message protocol, so it sits behind the stock TCP
-transports unchanged.  Shard :class:`~repro.harmony.server.TuningServer`
+transport unchanged.  Shard :class:`~repro.harmony.server.TuningServer`
 processes register with it and renew leases with heartbeats; clients ask it
 ``locate`` and get redirected to the shard that owns (or is newly assigned)
 their session.
@@ -79,13 +79,13 @@ class FleetCoordinator:
     """Routes tuning sessions across registered shard servers.
 
     Duck-typed like a :class:`~repro.harmony.server.TuningServer` where the
-    transports care (``handle`` / ``commit_wal`` / ``flush_wal``), so it is
-    hosted behind :class:`~repro.harmony.transport.TcpServerTransport` or
-    the asyncio transport unchanged.  *tuner_factory* / *plan* must match
-    what the shard servers were launched with — they are what
-    :func:`~repro.harmony.wal.recover_server` needs to resurrect a dead
-    shard's sessions for migration.  *clock* is injectable for tests; all
-    lease arithmetic goes through it.
+    transport cares (``handle`` / ``commit_wal`` / ``flush_wal``), so it is
+    hosted behind :class:`~repro.harmony.aio.AsyncTcpServerTransport`
+    unchanged.  *tuner_factory* / *plan* must match what the shard servers
+    were launched with — they are what :func:`~repro.harmony.wal.
+    recover_server` needs to resurrect a dead shard's sessions for
+    migration.  *clock* is injectable for tests; all lease arithmetic goes
+    through it.
     """
 
     def __init__(

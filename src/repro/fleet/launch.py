@@ -1,8 +1,8 @@
 """Fleet launcher: one coordinator + N shard server subprocesses.
 
 :class:`FleetSupervisor` hosts the :class:`~repro.fleet.coordinator.
-FleetCoordinator` in-process (behind a stock threaded TCP transport) and
-spawns each shard as a real ``repro serve`` subprocess — the same entry
+FleetCoordinator` in-process (behind the stock asyncio TCP transport)
+and spawns each shard as a real ``repro serve`` subprocess — the same entry
 point operators run — pointed back at the coordinator with
 ``--coordinator host:port``.  That makes the smoke tests honest: killing
 a shard is ``SIGKILL`` on a real process, not a thread we could never
@@ -32,7 +32,8 @@ from repro.fleet.client import fleet_client
 from repro.fleet.coordinator import FleetCoordinator
 from repro.fleet.rebalance import RebalancePlanner
 from repro.harmony.client import TuningClient
-from repro.harmony.transport import InProcessTransport, TcpServerTransport
+from repro.harmony.aio import AsyncTcpServerTransport
+from repro.harmony.transport import InProcessTransport
 from repro.obs import MetricsRegistry
 from repro.space import IntParameter, ParameterSpace
 
@@ -150,7 +151,6 @@ class FleetSupervisor:
         seed: int = 0,
         k: int = 1,
         estimator: str = "min",
-        transport: str = "threaded",
         wire: str = "binary",
         lease_s: float = 2.0,
         sync: str = "batch",
@@ -178,7 +178,7 @@ class FleetSupervisor:
         self.host = host
         self._opts = dict(
             tuner=tuner, seed=int(seed), k=int(k), estimator=estimator,
-            transport=transport, wire=wire, sync=sync, wal=bool(wal),
+            wire=wire, sync=sync, wal=bool(wal),
             service_delay_us=int(service_delay_us), reply_cache=reply_cache,
             max_pending=max_pending,
         )
@@ -200,7 +200,7 @@ class FleetSupervisor:
             metrics=self.metrics,
             rebalance=planner,
         )
-        self._server = TcpServerTransport(
+        self._server = AsyncTcpServerTransport(
             self.coordinator, host=host, port=int(coordinator_port)
         )
         self.coordinator_port: int | None = None
@@ -230,7 +230,6 @@ class FleetSupervisor:
         cmd = [
             sys.executable, "-m", "repro", "serve",
             "--workload", "bench",
-            "--transport", opts["transport"],
             "--wire", opts["wire"],
             "--host", self.host,
             "--port", "0",

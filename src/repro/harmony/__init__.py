@@ -16,10 +16,11 @@ wall-clock time of the whole run (Eqs. 1–2), not the final configuration.
   :mod:`repro.harmony.transport` / :mod:`repro.harmony.aio` — a
   client/server tuning service in the Active Harmony mould (register
   tunables, fetch assignments, report measurements) hosting many named
-  sessions, over in-process, threaded-TCP, pipelined, or asyncio
-  transports (:mod:`repro.harmony.protocol` owns the JSON-lines wire
-  format and :mod:`repro.harmony.binproto` the negotiated binary fast
-  path both TCP servers sniff on the same port);
+  sessions, served by one asyncio TCP server and reached through
+  in-process, lock-step TCP, or pipelined client transports
+  (:mod:`repro.harmony.protocol` owns the JSON-lines wire format and
+  :mod:`repro.harmony.binproto` the negotiated binary fast path the
+  server sniffs on the same port);
 * :mod:`repro.harmony.wal` — the durability layer: a CRC-framed
   write-ahead log every state mutation appends to, with group commit,
   segment rotation, snapshot+truncate, and :func:`recover_server` to
@@ -43,7 +44,6 @@ from repro.harmony.transport import (
     InProcessTransport,
     PipelinedTcpClientTransport,
     TcpClientTransport,
-    TcpServerTransport,
 )
 from repro.harmony.aio import AsyncTcpServerTransport
 from repro.harmony.wal import WalWriter, recover_server, replay_dir
@@ -62,7 +62,6 @@ __all__ = [
     "ServerRedirect",
     "TuningClient",
     "InProcessTransport",
-    "TcpServerTransport",
     "TcpClientTransport",
     "PipelinedTcpClientTransport",
     "AsyncTcpServerTransport",

@@ -1,10 +1,11 @@
-"""The asyncio serving transport: one event loop instead of a thread per connection.
+"""The TCP serving transport: one asyncio event loop, a coroutine per connection.
 
-:class:`AsyncTcpServerTransport` speaks exactly the same JSON-lines wire
-protocol as :class:`~repro.harmony.transport.TcpServerTransport` (batch
-frames, ``seq`` echo, frame cap — all via :mod:`repro.harmony.protocol`),
-so the two are interchangeable behind any client.  The differences are all
-about throughput under many connections:
+:class:`AsyncTcpServerTransport` hosts a :class:`TuningServer` (or any
+object with the same ``handle``/``commit_wal`` surface, such as the fleet
+coordinator) on a TCP port.  It speaks the JSON-lines wire protocol of
+:mod:`repro.harmony.protocol` (batch frames, ``seq`` echo, frame cap) and
+sniffs binary frames per frame on the same port, answering every recv
+chunk through the staged pipeline of :mod:`repro.harmony.transport`:
 
 * **no per-connection thread** — each connection is a coroutine on one
   event loop, so 32 clients cost 32 small tasks, not 32 OS threads
@@ -13,14 +14,18 @@ about throughput under many connections:
   protocol frame limit, and every response write awaits ``drain()``, so a
   slow or malicious peer can neither balloon input memory nor let the
   output buffer grow without bound;
+* **admission at arrival** — with an admission controller attached,
+  frames are priced and admitted (or shed with ``busy``) on the loop
+  thread and dispatched on a small thread pool, so the loop keeps reading
+  and refusing new frames while handlers run;
 * **graceful drain** — :meth:`stop` closes the listener, gives live
   connections ``drain_timeout`` seconds to finish in-flight requests and
   disconnect, and only then cancels the stragglers.
 
 The event loop runs on a dedicated daemon thread so the transport exposes
-the same synchronous ``start()``/``stop()``/context-manager surface as the
-threaded server, and so one process can host it next to ordinary blocking
-code (the CLI, tests, benchmarks).
+a synchronous ``start()``/``stop()``/context-manager surface, and so one
+process can host it next to ordinary blocking code (the CLI, tests,
+benchmarks).
 """
 
 from __future__ import annotations
@@ -201,22 +206,18 @@ class AsyncTcpServerTransport:
                 items = splitter.feed(chunk)
                 if not items:
                     continue
-                # One write + drain per recv chunk: a pipelined burst of
-                # frames costs one syscall's worth of response flushing.
                 if self._pool is None:
                     payload, closing = respond_frames(
                         self.server, items, self.wire, self.max_line_bytes
                     )
-                    if payload:
-                        writer.write(payload)
-                        await writer.drain()  # backpressure: never outrun the peer
                 else:
                     # Admission control: price and admit (or shed) at
                     # *arrival*, on the loop thread, then dispatch on the
                     # pool.  The granted units stay charged until the
-                    # response bytes are flushed, so the budget measures
-                    # the full queue: waiting for a worker, dispatch,
-                    # modeled service time, WAL commit, and the write.
+                    # responses are built: waiting for a worker, dispatch,
+                    # modeled service time, WAL commit.  They are returned
+                    # before the write, so a client holding its reply
+                    # never sees its own request still pending.
                     prepared = prepare_items(items, self.max_line_bytes)
                     flags, grants = plan_admission(self.server, prepared)
                     try:
@@ -225,11 +226,13 @@ class AsyncTcpServerTransport:
                             self._pool, respond_prepared, self.server,
                             prepared, flags, self.wire, self.max_line_bytes,
                         )
-                        if payload:
-                            writer.write(payload)
-                            await writer.drain()
                     finally:
                         finish_admission(self.server, grants)
+                # One write + drain per recv chunk: a pipelined burst of
+                # frames costs one syscall's worth of response flushing.
+                if payload:
+                    writer.write(payload)
+                    await writer.drain()  # backpressure: never outrun the peer
                 if closing:
                     break
         except (ConnectionError, asyncio.CancelledError):

@@ -3,7 +3,7 @@
 JSON lines (:mod:`repro.harmony.protocol`) price every message at one dict
 materialization plus one ``json`` encode/decode on each side; at 32 batched
 clients that serialization is the serving ceiling, not the tuner.  This
-module adds a second framing both TCP servers accept *on the same port*:
+module adds a second framing the TCP server accepts *on the same port*:
 
 * **sniffing** — a frame starting with ``{`` (or any byte other than
   :data:`MAGIC`) is a JSON line; a frame starting with :data:`MAGIC` is

@@ -1,8 +1,8 @@
 """The JSON-lines wire protocol shared by every transport.
 
 One JSON object per ``\\n``-terminated line, UTF-8.  This module owns the
-framing rules so the threaded TCP transport, the asyncio transport, and the
-in-process transport cannot drift apart:
+framing rules so the TCP server, the TCP clients, and the in-process
+transport cannot drift apart:
 
 * **versioning** — clients send ``version`` with ``register``; the server
   rejects a mismatch (:data:`PROTOCOL_VERSION`).  Absent means "current",

@@ -22,8 +22,7 @@ single-session protocol and API unchanged.
 
 The server is transport-agnostic: it consumes plain-dict messages (see
 :meth:`TuningServer.handle`) and is thread-safe, so the same instance can
-sit behind the in-process transport, the thread-per-connection TCP
-transport, or the asyncio transport.
+sit behind the in-process transport or the asyncio TCP transport.
 
 **Durability.**  Attach a :class:`~repro.harmony.wal.WalWriter` (see
 :meth:`TuningServer.attach_wal`) and every state mutation — register,

@@ -4,18 +4,21 @@ Several implementations behind one interface:
 
 * :class:`InProcessTransport` — direct method calls (zero overhead; used by
   the simulation experiments and most tests);
-* :class:`TcpServerTransport` / :class:`TcpClientTransport` — the JSON-lines
-  protocol (see :mod:`repro.harmony.protocol`) over a TCP socket with one
-  serving thread per connection;
+* :class:`TcpClientTransport` — the JSON-lines protocol (see
+  :mod:`repro.harmony.protocol`) over a TCP socket, one lock-step round
+  trip at a time;
 * :class:`PipelinedTcpClientTransport` — same wire format, but keeps many
   sequence-numbered requests in flight over one socket, so P logical
-  requesters no longer pay P sequential round trips;
-* :class:`repro.harmony.aio.AsyncTcpServerTransport` — the asyncio server
-  (single event loop, no thread per connection), the throughput-oriented
-  sibling of :class:`TcpServerTransport`.
+  requesters no longer pay P sequential round trips.
+
+The server side is :class:`repro.harmony.aio.AsyncTcpServerTransport`
+(one event loop, a coroutine per connection).  It answers every recv
+chunk through the staged pipeline defined here (:func:`prepare_items` →
+:func:`plan_admission` → :func:`respond_prepared` →
+:func:`finish_admission`, or :func:`respond_frames` for all four).
 
 All TCP endpoints set ``TCP_NODELAY`` — Nagle's algorithm only adds latency
-to a 1-line request/response protocol — and every server rejects frames
+to a 1-line request/response protocol — and the server rejects frames
 longer than :data:`repro.harmony.protocol.MAX_LINE_BYTES` instead of
 buffering them unboundedly.
 """
@@ -38,7 +41,6 @@ from repro.harmony.server import TuningServer
 __all__ = [
     "Transport",
     "InProcessTransport",
-    "TcpServerTransport",
     "TcpClientTransport",
     "PipelinedTcpClientTransport",
     "n_wire_chunks",
@@ -112,10 +114,12 @@ def plan_admission(
     Returns ``(flags, grants)``: per-item admit decisions (``None`` when
     the server has no admission controller — everything is admitted) and
     the ``(weight, session)`` grants to hand back via
-    :func:`finish_admission` once the responses have been written.  The
+    :func:`finish_admission` once the responses have been built.  The
     admitted units stay charged from this call until then — that window
-    (dispatch, modeled service time, WAL commit, response write) *is* the
-    pending work the budget bounds.
+    (waiting for a worker, dispatch, modeled service time, WAL commit)
+    *is* the pending work the budget bounds.  The response write is not
+    charged: a connection blocked in a write reads no new frames, so the
+    write cannot grow the queue.
     """
     admission = getattr(server, "admission", None)
     if admission is None:
@@ -144,7 +148,7 @@ def plan_admission(
 def finish_admission(
     server: TuningServer, grants: Sequence[tuple[int, str | None]]
 ) -> None:
-    """Return granted admission units once their responses are out."""
+    """Return granted admission units once their responses are built."""
     if not grants:
         return
     admission = getattr(server, "admission", None)
@@ -233,12 +237,12 @@ def respond_frames(
 ) -> tuple[bytes, bool]:
     """Turn one :class:`binproto.FrameSplitter` batch into response bytes.
 
-    Shared by the threaded and asyncio servers so their mixed JSON/binary
-    handling cannot drift: :func:`prepare_items` → :func:`plan_admission`
-    → :func:`respond_prepared`, with the admitted units held until the
-    responses are built (the asyncio transport spreads the same stages
-    around its executor hop so the units stay charged until the bytes are
-    flushed).  Returns ``(payload, closing)``.
+    :func:`prepare_items` → :func:`plan_admission` →
+    :func:`respond_prepared` → :func:`finish_admission` in one call, with
+    the admitted units held until the responses are built.  The asyncio
+    server runs this inline when admission is off; with admission on it
+    spreads the same stages around its executor hop.  Returns
+    ``(payload, closing)``.
     """
     prepared = prepare_items(items, max_line_bytes)
     flags, grants = plan_admission(server, prepared)
@@ -296,149 +300,6 @@ class InProcessTransport(Transport):
         if not response.get("ok", False):
             return [response for _ in messages]
         return response["results"]
-
-
-class TcpServerTransport:
-    """Hosts a :class:`TuningServer` on a TCP socket, one thread per connection.
-
-    Wire format: one JSON object per line, UTF-8 (batch frames included —
-    see :mod:`repro.harmony.protocol`).  Start with :meth:`start`, stop with
-    :meth:`stop`; the bound port is available as :attr:`port` (pass
-    ``port=0`` to let the OS pick a free one).  ``stop()`` drains: it stops
-    accepting, joins every live connection thread (each notices shutdown
-    within its socket timeout), and only then force-closes stragglers.
-    """
-
-    #: how long a connection's recv blocks before re-checking the running flag
-    _POLL_S = 0.2
-
-    def __init__(
-        self,
-        server: TuningServer,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        max_line_bytes: int = protocol.MAX_LINE_BYTES,
-        wire: str = "binary",
-    ) -> None:
-        if wire not in ("binary", "json"):
-            raise ValueError(f"wire must be 'binary' or 'json', got {wire!r}")
-        self.server = server
-        self.host = host
-        self._requested_port = port
-        self.port: int | None = None
-        self.max_line_bytes = max_line_bytes
-        #: "binary" accepts both framings (sniffed per frame); "json"
-        #: answers binary frames with an error instead of decoding them
-        self.wire = wire
-        self._sock: socket.socket | None = None
-        self._accept_thread: threading.Thread | None = None
-        self._running = threading.Event()
-        self._conn_threads: list[threading.Thread] = []
-        self._conn_socks: set[socket.socket] = set()
-        self._conn_lock = threading.Lock()
-
-    def start(self) -> None:
-        if self._sock is not None:
-            raise RuntimeError("transport already started")
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((self.host, self._requested_port))
-        sock.listen(64)
-        sock.settimeout(self._POLL_S)
-        self._sock = sock
-        self.port = sock.getsockname()[1]
-        self._running.set()
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._accept_thread.start()
-
-    def _accept_loop(self) -> None:
-        assert self._sock is not None
-        while self._running.is_set():
-            try:
-                conn, _ = self._sock.accept()
-            except socket.timeout:
-                # Idle moment: prune threads whose connections have closed,
-                # so a long-lived server doesn't accumulate dead handles.
-                self._conn_threads = [t for t in self._conn_threads if t.is_alive()]
-                continue
-            except OSError:
-                break
-            _set_nodelay(conn)
-            conn.settimeout(self._POLL_S)
-            with self._conn_lock:
-                self._conn_socks.add(conn)
-            t = threading.Thread(target=self._serve_conn, args=(conn,), daemon=True)
-            t.start()
-            self._conn_threads = [x for x in self._conn_threads if x.is_alive()]
-            self._conn_threads.append(t)
-
-    def _serve_conn(self, conn: socket.socket) -> None:
-        try:
-            with conn:
-                splitter = binproto.FrameSplitter(self.max_line_bytes)
-                while self._running.is_set():
-                    try:
-                        chunk = conn.recv(65536)
-                    except socket.timeout:
-                        continue
-                    except OSError:
-                        break
-                    if not chunk:
-                        break
-                    items = splitter.feed(chunk)
-                    if not items:
-                        continue
-                    payload, closing = respond_frames(
-                        self.server, items, self.wire, self.max_line_bytes
-                    )
-                    if payload:
-                        try:
-                            conn.sendall(payload)
-                        except OSError:
-                            return
-                    if closing:
-                        return
-        finally:
-            with self._conn_lock:
-                self._conn_socks.discard(conn)
-
-    def stop(self) -> None:
-        self._running.clear()
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            finally:
-                self._sock = None
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=2.0)
-            self._accept_thread = None
-        # Drain: each connection thread notices the cleared flag within one
-        # socket-timeout poll and exits after finishing its current request.
-        for t in self._conn_threads:
-            t.join(timeout=2 * self._POLL_S + 2.0)
-        with self._conn_lock:
-            stragglers = list(self._conn_socks)
-            self._conn_socks.clear()
-        for conn in stragglers:  # pragma: no cover - only hit on hung clients
-            try:
-                conn.close()
-            except OSError:
-                pass
-        self._conn_threads = [t for t in self._conn_threads if t.is_alive()]
-        # Durability epilogue: anything appended but not yet group-committed
-        # (e.g. a request whose connection died before its response) is
-        # flushed before the transport reports itself stopped.
-        flush = getattr(self.server, "flush_wal", None)
-        if flush is not None:
-            flush()
-
-    def __enter__(self) -> "TcpServerTransport":
-        self.start()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.stop()
 
 
 def n_wire_chunks(n: int) -> int:

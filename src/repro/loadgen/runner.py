@@ -1,7 +1,7 @@
 """The load generator: reproducible open- and closed-loop load.
 
-Two canonical load models, both driving a *live* tuning server (threaded
-or asyncio, JSON or binary wire) through the real client stack:
+Two canonical load models, both driving a *live* tuning server (JSON or
+binary wire) through the real client stack:
 
 * **closed loop** — ``sessions`` logical sessions each run ``steps``
   fetch/report rounds as fast as the server answers.  Concurrency is the

@@ -11,13 +11,10 @@ from repro.fleet.coordinator import FleetCoordinator
 from repro.fleet.launch import bench_space
 from repro.fleet.shard import ShardAgent
 from repro.harmony import binproto
+from repro.harmony.aio import AsyncTcpServerTransport
 from repro.harmony.client import ServerRedirect, TuningClient
 from repro.harmony.server import TuningServer
-from repro.harmony.transport import (
-    InProcessTransport,
-    TcpClientTransport,
-    TcpServerTransport,
-)
+from repro.harmony.transport import InProcessTransport, TcpClientTransport
 from repro.obs import MetricsRegistry
 from tests.helpers import wait_for
 
@@ -217,7 +214,7 @@ def _start_shard(tmp_path, name, *, wal=True):
         )
     else:
         server = TuningServer(tuner_factory("pro", rng=0), binproto=False)
-    transport = TcpServerTransport(server, host="127.0.0.1", port=0)
+    transport = AsyncTcpServerTransport(server, host="127.0.0.1", port=0)
     transport.start()
     return server, transport, wal_dir
 
@@ -316,7 +313,7 @@ class TestRehoming:
 class TestShardAgent:
     def test_agent_registers_heartbeats_and_sees_revocation(self):
         coord = make_coordinator(lease_s=0.6, clock=time.monotonic)
-        with TcpServerTransport(coord, host="127.0.0.1", port=0) as transport:
+        with AsyncTcpServerTransport(coord, host="127.0.0.1", port=0) as transport:
             revoked = threading.Event()
             agent = ShardAgent(
                 ("127.0.0.1", transport.port),
@@ -361,7 +358,7 @@ class TestShardAgent:
         """fleet_client resolves through a real coordinator to a real shard."""
         coord = make_coordinator(lease_s=30.0, clock=time.monotonic)
         server, ts, wal_dir = _start_shard(tmp_path, "a", wal=False)
-        with TcpServerTransport(coord, host="127.0.0.1", port=0) as tc:
+        with AsyncTcpServerTransport(coord, host="127.0.0.1", port=0) as tc:
             coord.handle({"op": "register_shard", "host": "127.0.0.1",
                           "port": ts.port, "wal_dir": None})
             client = fleet_client("127.0.0.1", tc.port, "mysession")

@@ -27,7 +27,7 @@ SEED = 0
 def test_kill_a_shard_mid_sweep_results_bit_identical(tmp_path):
     with FleetSupervisor(
         2, base_dir=tmp_path, lease_s=1.0, wal=True, sync="batch",
-        transport="threaded", wire="binary", seed=SEED,
+        wire="binary", seed=SEED,
     ) as fleet:
         results = {}
         killed = {}
@@ -78,7 +78,7 @@ def test_clean_fleet_sweep_matches_baseline(tmp_path):
     """No faults: routing alone must not perturb results (JSON wire arm)."""
     with FleetSupervisor(
         2, base_dir=tmp_path, lease_s=5.0, wal=False,
-        transport="threaded", wire="json", seed=SEED,
+        wire="json", seed=SEED,
     ) as fleet:
         results = fleet.run_sweep(SESSIONS, steps=STEPS)
         status = fleet.fleet_status()
@@ -124,7 +124,7 @@ def test_join_attaches_an_externally_started_shard(tmp_path):
     )
     cmd = [
         sys.executable, "-m", "repro", "serve",
-        "--workload", "bench", "--transport", "threaded", "--wire", "binary",
+        "--workload", "bench", "--wire", "binary",
         "--host", "127.0.0.1", "--port", str(shard_port),
         "--tuner", "pro", "--seed", str(SEED), "--k", "1",
         "--estimator", "min",
@@ -136,7 +136,7 @@ def test_join_attaches_an_externally_started_shard(tmp_path):
         with FleetSupervisor(
             1, base_dir=tmp_path / "coord", coordinator_port=coord_port,
             join=[("127.0.0.1", shard_port)], wal=False,
-            transport="threaded", wire="binary", lease_s=2.0, seed=SEED,
+            wire="binary", lease_s=2.0, seed=SEED,
         ) as fleet:
             assert fleet._procs == {}, "join mode must not spawn shards"
             status = fleet.fleet_status()

@@ -44,7 +44,7 @@ def test_migrate_session_mid_sweep_bit_identical(tmp_path):
     """Move the mid-workload session between live shards; results identical."""
     with FleetSupervisor(
         2, base_dir=tmp_path, lease_s=2.0, wal=True, sync="batch",
-        transport="threaded", wire="binary", seed=SEED,
+        wire="binary", seed=SEED,
     ) as fleet:
         results = {}
         moved = {}
@@ -93,7 +93,7 @@ def test_migration_under_load_storm_bit_identical(tmp_path):
     """Drain-and-move while storm clients hammer both shards concurrently."""
     with FleetSupervisor(
         2, base_dir=tmp_path, lease_s=2.0, wal=True, sync="batch",
-        transport="threaded", wire="binary", seed=SEED,
+        wire="binary", seed=SEED,
     ) as fleet:
         stop = threading.Event()
         storm_errors: list[Exception] = []
@@ -163,7 +163,7 @@ def test_locate_cache_steady_state_skips_coordinator(tmp_path):
     """Reconnects reuse the cached route; only a move re-asks the coordinator."""
     with FleetSupervisor(
         2, base_dir=tmp_path, lease_s=5.0, wal=False,
-        transport="threaded", wire="binary", seed=SEED,
+        wire="binary", seed=SEED,
     ) as fleet:
         name = "cached"
         client = fleet.client(name)
@@ -195,7 +195,7 @@ def test_auto_rebalance_drains_the_hot_shard(tmp_path):
     """Planner + heartbeat load reports migrate sessions off a hot shard."""
     with FleetSupervisor(
         2, base_dir=tmp_path, lease_s=1.0, wal=True, sync="batch",
-        transport="threaded", wire="binary", seed=SEED, rebalance=True,
+        wire="binary", seed=SEED, rebalance=True,
     ) as fleet:
         clients = {}
         for i in range(4):

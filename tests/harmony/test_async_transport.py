@@ -1,5 +1,6 @@
-"""The asyncio serving transport: round trips, batching, hardening, equivalence."""
+"""The TCP server: round trips, batching, hardening, equivalence."""
 
+import contextlib
 import json
 import socket
 
@@ -12,9 +13,9 @@ from repro.harmony.aio import AsyncTcpServerTransport
 from repro.harmony.client import TuningClient
 from repro.harmony.server import TuningServer
 from repro.harmony.transport import (
+    InProcessTransport,
     PipelinedTcpClientTransport,
     TcpClientTransport,
-    TcpServerTransport,
 )
 from repro.obs import Tracer, canonical_events
 from repro.space import IntParameter, ParameterSpace
@@ -120,6 +121,15 @@ class TestAsyncHardening:
             with TcpClientTransport("127.0.0.1", tcp.port) as transport:
                 assert TuningClient(transport).status() is not None
 
+    def test_oversized_unterminated_frame_rejected(self):
+        """A frame that never ends hits the cap without a newline."""
+        server = make_server()
+        with AsyncTcpServerTransport(server, port=0, max_line_bytes=2048) as tcp:
+            with socket.create_connection(("127.0.0.1", tcp.port), timeout=5) as s:
+                s.sendall(b"z" * 5000)  # no newline at all
+                resp = json.loads(s.makefile("rb").readline())
+                assert not resp["ok"]
+
     def test_mid_request_disconnect_tolerated(self):
         server = make_server()
         with AsyncTcpServerTransport(server, port=0) as tcp:
@@ -134,42 +144,57 @@ class TestAsyncHardening:
         assert server.n_reports == 1
 
 
-def drive_deterministic(transport_cls, tracer):
-    """One seeded single-client run behind the given server transport."""
+def drive_deterministic(transport, tracer):
+    """One seeded single-client run; *transport* maps a server to a client
+    transport context."""
     server = make_server(tracer=tracer)
-    with transport_cls(server, port=0) as tcp:
-        with TcpClientTransport("127.0.0.1", tcp.port) as transport:
-            client = TuningClient(transport)
-            client.register(make_space())
-            for step in range(200):
-                config = client.fetch()
-                client.report(objective(config), step=step)
-            best = client.best()
+    with transport(server) as client_transport:
+        client = TuningClient(client_transport)
+        client.register(make_space())
+        for step in range(200):
+            config = client.fetch()
+            client.report(objective(config), step=step)
+        best = client.best()
     return server, best
 
 
+@contextlib.contextmanager
+def over_tcp(server):
+    with AsyncTcpServerTransport(server, port=0) as tcp:
+        with TcpClientTransport("127.0.0.1", tcp.port) as transport:
+            yield transport
+
+
+@contextlib.contextmanager
+def in_process(server):
+    yield InProcessTransport(server)
+
+
 class TestTransportEquivalence:
-    def test_async_and_threaded_produce_identical_sessions(self):
-        """Paired seeding: both transports must drive the tuner identically.
+    def test_tcp_session_matches_in_process(self):
+        """Paired seeding: serving over TCP must drive the tuner exactly as
+        direct calls do — results must not depend on scheduling.
 
         Reuses the golden-trace harness (`canonical_events` with volatile
-        fields stripped) to compare the servers' request streams event by
+        fields stripped) to compare the two request streams event by
         event, on top of the end-state assertions.
         """
-        tracer_a = Tracer(label="server")
-        tracer_t = Tracer(label="server")
-        server_a, best_a = drive_deterministic(AsyncTcpServerTransport, tracer_a)
-        server_t, best_t = drive_deterministic(TcpServerTransport, tracer_t)
+        tracer_tcp = Tracer(label="server")
+        tracer_ref = Tracer(label="server")
+        server_tcp, best_tcp = drive_deterministic(over_tcp, tracer_tcp)
+        server_ref, best_ref = drive_deterministic(in_process, tracer_ref)
 
-        assert list(best_a[0]) == list(best_t[0])
-        assert best_a[1] == best_t[1]
-        assert server_a.n_reports == server_t.n_reports
-        assert server_a.step_times().tolist() == server_t.step_times().tolist()
+        assert list(best_tcp[0]) == list(best_ref[0])
+        assert best_tcp[1] == best_ref[1]
+        assert server_tcp.n_reports == server_ref.n_reports
+        assert (
+            server_tcp.step_times().tolist() == server_ref.step_times().tolist()
+        )
 
-        events_a = canonical_events(tracer_a.drain(), strip=True)
-        events_t = canonical_events(tracer_t.drain(), strip=True)
-        assert events_a == events_t
-        assert any(e["kind"] == "server.request" for e in events_a)
+        events_tcp = canonical_events(tracer_tcp.drain(), strip=True)
+        events_ref = canonical_events(tracer_ref.drain(), strip=True)
+        assert events_tcp == events_ref
+        assert any(e["kind"] == "server.request" for e in events_tcp)
 
     def test_batched_path_matches_single_path(self):
         """fetch_many/report_many must reach the same answer as the loop."""

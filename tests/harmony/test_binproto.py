@@ -30,13 +30,13 @@ from repro.harmony.binproto import (
     MSG_REPORT_MANY,
     WireError,
 )
+from repro.harmony.aio import AsyncTcpServerTransport
 from repro.harmony.client import TuningClient
 from repro.harmony.server import TuningServer
 from repro.harmony.transport import (
     InProcessTransport,
     PipelinedTcpClientTransport,
     TcpClientTransport,
-    TcpServerTransport,
 )
 from repro.obs import Tracer, canonical_events
 from repro.space import IntParameter, ParameterSpace
@@ -255,7 +255,7 @@ class TestNegotiation:
         assert client._binproto is False
 
     def test_tcp_client_negotiates_binary(self):
-        with TcpServerTransport(make_server(), port=0) as tcp:
+        with AsyncTcpServerTransport(make_server(), port=0) as tcp:
             with TcpClientTransport("127.0.0.1", tcp.port) as t:
                 client = TuningClient(t)
                 client.register(make_space())
@@ -264,7 +264,7 @@ class TestNegotiation:
     def test_json_wire_server_refuses_binary_frames(self):
         import socket
 
-        with TcpServerTransport(make_server(), port=0, wire="json") as tcp:
+        with AsyncTcpServerTransport(make_server(), port=0, wire="json") as tcp:
             with socket.create_connection(("127.0.0.1", tcp.port), timeout=10) as s:
                 s.sendall(binproto.encode_fetch_many(2, "default", 0, 4))
                 file = s.makefile("rb")
@@ -302,7 +302,7 @@ class TestMixedClients:
             except Exception as exc:  # pragma: no cover - assertion below
                 errors.append(exc)
 
-        with TcpServerTransport(server, port=0) as tcp:
+        with AsyncTcpServerTransport(server, port=0) as tcp:
             threads = [
                 threading.Thread(target=run_client, args=(i, i % 2 == 0))
                 for i in range(4)
@@ -329,7 +329,7 @@ class TestWireParity:
         server = make_server(binproto_on=use_binary, tracer=tracer)
         rng = np.random.default_rng(seed)  # paired noise across both wires
         fetched = []
-        with TcpServerTransport(server, port=0) as tcp:
+        with AsyncTcpServerTransport(server, port=0) as tcp:
             with TcpClientTransport("127.0.0.1", tcp.port, timeout=30) as t:
                 client = TuningClient(t)
                 client.register(make_space())

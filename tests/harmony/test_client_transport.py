@@ -7,13 +7,10 @@ import pytest
 
 from repro.core.pro import ParallelRankOrdering
 from repro.core.sampling import SamplingPlan
+from repro.harmony.aio import AsyncTcpServerTransport
 from repro.harmony.client import TuningClient
 from repro.harmony.server import TuningServer
-from repro.harmony.transport import (
-    InProcessTransport,
-    TcpClientTransport,
-    TcpServerTransport,
-)
+from repro.harmony.transport import InProcessTransport, TcpClientTransport
 from repro.space import IntParameter, ParameterSpace
 
 
@@ -85,7 +82,7 @@ class TestClientInProcess:
 class TestTcpTransport:
     def test_tcp_round_trip(self):
         server = make_server()
-        with TcpServerTransport(server, port=0) as tcp:
+        with AsyncTcpServerTransport(server, port=0) as tcp:
             assert tcp.port is not None
             with TcpClientTransport("127.0.0.1", tcp.port) as transport:
                 client = TuningClient(transport)
@@ -98,7 +95,7 @@ class TestTcpTransport:
 
     def test_multiple_tcp_clients(self):
         server = make_server()
-        with TcpServerTransport(server, port=0) as tcp:
+        with AsyncTcpServerTransport(server, port=0) as tcp:
             results = []
             errors = []
 
@@ -129,7 +126,7 @@ class TestTcpTransport:
         import socket
 
         server = make_server()
-        with TcpServerTransport(server, port=0) as tcp:
+        with AsyncTcpServerTransport(server, port=0) as tcp:
             with socket.create_connection(("127.0.0.1", tcp.port), timeout=5) as s:
                 s.sendall(b"this is not json\n")
                 fh = s.makefile("rb")
@@ -137,7 +134,7 @@ class TestTcpTransport:
                 assert not resp["ok"]
 
     def test_double_start_rejected(self):
-        tcp = TcpServerTransport(make_server(), port=0)
+        tcp = AsyncTcpServerTransport(make_server(), port=0)
         tcp.start()
         try:
             with pytest.raises(RuntimeError):

@@ -21,8 +21,8 @@ command.  The crash points cover the four distinct durability windows:
   snapshot; the leftover segments are garbage-collected by the next one.
 
 Every arm must converge to the same final checkpoint and incumbent as an
-uninterrupted in-process run of the identical request sequence — across
-both transports (threaded, asyncio) and both wires (JSON, binary).
+uninterrupted in-process run of the identical request sequence — on
+both wires (JSON, binary).
 """
 
 import os
@@ -100,8 +100,7 @@ class ServeSupervisor:
     omits it (a fresh hook would count events from zero and crash-loop).
     """
 
-    def __init__(self, tmp_path, *, transport, wire, crash_at,
-                 snapshot_bytes=None):
+    def __init__(self, tmp_path, *, wire, crash_at, snapshot_bytes=None):
         self.port = free_port()
         self.wal_dir = tmp_path / "wal"
         self.port_file = tmp_path / "port"
@@ -110,7 +109,7 @@ class ServeSupervisor:
         self._lock = threading.Lock()
         base = [
             sys.executable, "-m", "repro", "serve",
-            "--transport", transport, "--wire", wire,
+            "--wire", wire,
             "--host", HOST, "--port", str(self.port),
             "--port-file", str(self.port_file),
             "--wal-dir", str(self.wal_dir), "--sync", "batch",
@@ -158,23 +157,22 @@ class ServeSupervisor:
 
 
 ARMS = [
-    # (transport, wire, crash spec, snapshot bytes)
-    pytest.param("threaded", "json", "append:5", None, id="threaded-json-append"),
-    pytest.param("threaded", "binary", "commit:34", None, id="threaded-binary-commit"),
-    pytest.param("async", "json", "torn:7", None, id="async-json-torn"),
-    pytest.param("async", "binary", "snapshot:1", 2048, id="async-binary-snapshot"),
+    # (wire, crash spec, snapshot bytes)
+    pytest.param("json", "append:5", None, id="async-json-append"),
+    pytest.param("binary", "commit:34", None, id="async-binary-commit"),
+    pytest.param("json", "torn:7", None, id="async-json-torn"),
+    pytest.param("binary", "snapshot:1", 2048, id="async-binary-snapshot"),
 ]
 
 
-@pytest.mark.parametrize("transport,wire,crash_at,snapshot_bytes", ARMS)
+@pytest.mark.parametrize("wire,crash_at,snapshot_bytes", ARMS)
 def test_killed_server_recovers_bit_identical(
-    tmp_path, transport, wire, crash_at, snapshot_bytes
+    tmp_path, wire, crash_at, snapshot_bytes
 ):
     expected_snap, expected_best = baseline_state()
 
     supervisor = ServeSupervisor(
-        tmp_path, transport=transport, wire=wire, crash_at=crash_at,
-        snapshot_bytes=snapshot_bytes,
+        tmp_path, wire=wire, crash_at=crash_at, snapshot_bytes=snapshot_bytes,
     )
     try:
         supervisor.wait_ready()
@@ -207,8 +205,7 @@ def test_crash_mid_snapshot_leaves_recoverable_log(tmp_path):
     from repro.harmony.wal import replay_dir
 
     supervisor = ServeSupervisor(
-        tmp_path, transport="threaded", wire="json", crash_at="snapshot:1",
-        snapshot_bytes=1024,
+        tmp_path, wire="json", crash_at="snapshot:1", snapshot_bytes=1024,
     )
     try:
         supervisor.wait_ready()

@@ -27,11 +27,7 @@ from repro.harmony.admission import AdmissionController
 from repro.harmony.aio import AsyncTcpServerTransport
 from repro.harmony.client import ServerBusy, TuningClient
 from repro.harmony.server import TuningServer
-from repro.harmony.transport import (
-    PipelinedTcpClientTransport,
-    TcpClientTransport,
-    TcpServerTransport,
-)
+from repro.harmony.transport import PipelinedTcpClientTransport, TcpClientTransport
 from repro.obs import MetricsRegistry
 from repro.space import IntParameter, ParameterSpace
 
@@ -74,15 +70,10 @@ def measure_rtts(port, n, *, session=None):
 
 
 class TestOverloadBattery:
-    @pytest.mark.parametrize("transport_kind", ["threaded", "async"])
-    def test_graceful_degradation_and_recovery(self, transport_kind):
+    def test_graceful_degradation_and_recovery(self):
         sessions = [f"ov-{i}" for i in range(N_WORKERS)]
         server = make_server(sessions=["probe", "post"] + sessions)
-        transport_cls = (
-            AsyncTcpServerTransport if transport_kind == "async"
-            else TcpServerTransport
-        )
-        with transport_cls(server) as transport:
+        with AsyncTcpServerTransport(server) as transport:
             port = transport.port
 
             # -- unloaded baseline ---------------------------------------
@@ -149,6 +140,27 @@ class TestOverloadBattery:
         assert server.admission.pending == 0
 
 
+class TestGrantRelease:
+    def test_units_are_released_before_the_reply(self):
+        """A lock-step client holding its reply never finds its own request
+        still charged: the grant is returned before the response is
+        written."""
+        server = make_server(service_delay_s=0.0, sessions=["s"])
+        charged = 0
+        with AsyncTcpServerTransport(server) as transport:
+            with TcpClientTransport("127.0.0.1", transport.port) as t:
+                client = TuningClient(t, session="s")
+                client.register(make_space())
+                for step in range(150):
+                    point = client.fetch()
+                    charged += server.admission.pending != 0
+                    client.report(1.0 + float(np.sum(point**2)), step=step)
+                    charged += server.admission.pending != 0
+        assert charged == 0, (
+            f"{charged} of 300 replies arrived with their units still charged"
+        )
+
+
 class TestBusyWire:
     """The busy signal itself, on both wire dialects, deterministically."""
 
@@ -160,7 +172,7 @@ class TestBusyWire:
 
     def test_json_busy_envelope_carries_retry_after(self):
         server = self._saturated_server()
-        with TcpServerTransport(server) as transport:
+        with AsyncTcpServerTransport(server) as transport:
             with TcpClientTransport("127.0.0.1", transport.port) as t:
                 response = t.request({"op": "status", "seq": 41, "session": "s"})
         assert response["ok"] is False
@@ -171,7 +183,7 @@ class TestBusyWire:
 
     def test_client_raises_server_busy_once_retries_exhausted(self):
         server = self._saturated_server()
-        with TcpServerTransport(server) as transport:
+        with AsyncTcpServerTransport(server) as transport:
             with TcpClientTransport("127.0.0.1", transport.port) as t:
                 client = TuningClient(t, session="s", busy_retries=2,
                                       busy_backoff_cap=0.01)
@@ -182,7 +194,7 @@ class TestBusyWire:
 
     def test_binary_busy_frame_round_trips(self):
         server = make_server(service_delay_s=0.0, sessions=["s"])
-        with TcpServerTransport(server) as transport:
+        with AsyncTcpServerTransport(server) as transport:
             with PipelinedTcpClientTransport("127.0.0.1", transport.port) as t:
                 client = TuningClient(t, session="s", busy_retries=1000,
                                       busy_backoff_cap=0.01)
@@ -200,7 +212,7 @@ class TestBusyWire:
 
     def test_busy_client_recovers_when_budget_drains(self):
         server = self._saturated_server()
-        with TcpServerTransport(server) as transport:
+        with AsyncTcpServerTransport(server) as transport:
             with TcpClientTransport("127.0.0.1", transport.port) as t:
                 client = TuningClient(t, session="s", busy_retries=1000,
                                       busy_backoff_cap=0.01)

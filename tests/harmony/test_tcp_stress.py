@@ -1,4 +1,4 @@
-"""Concurrent multi-client stress and lifecycle tests for both TCP servers."""
+"""Concurrent multi-client stress tests for the TCP server."""
 
 import json
 import socket
@@ -12,10 +12,10 @@ from repro.core.sampling import MinEstimator, SamplingPlan
 from repro.harmony.aio import AsyncTcpServerTransport
 from repro.harmony.client import TuningClient
 from repro.harmony.server import TuningServer
-from repro.harmony.transport import TcpClientTransport, TcpServerTransport
+from repro.harmony.transport import TcpClientTransport
 from repro.space import IntParameter, ParameterSpace
 
-TRANSPORTS = [TcpServerTransport, AsyncTcpServerTransport]
+TRANSPORTS = [AsyncTcpServerTransport]
 
 
 def make_space():
@@ -142,63 +142,3 @@ def test_malformed_then_valid_frames(transport_cls):
             assert not json.loads(fh.readline())["ok"]
             s.sendall(b'{"op": "status"}\n')
             assert json.loads(fh.readline())["ok"]
-
-
-class TestThreadedLifecycle:
-    def test_conn_threads_pruned_and_joined(self):
-        """The per-connection thread list shrinks as clients leave, and
-        stop() drains whatever is still alive instead of abandoning it."""
-        server = make_server()
-        tcp = TcpServerTransport(server, port=0)
-        tcp.start()
-        try:
-            for _ in range(6):
-                with TcpClientTransport("127.0.0.1", tcp.port) as transport:
-                    client = TuningClient(transport)
-                    client.register(make_space())
-                    config = client.fetch()
-                    client.report(objective(config))
-            # A still-open client at stop() time:
-            lingering = TcpClientTransport("127.0.0.1", tcp.port)
-            assert TuningClient(lingering).status() is not None
-        finally:
-            tcp.stop()
-        assert not any(t.is_alive() for t in tcp._conn_threads)
-        assert not tcp._conn_socks
-        lingering.close()
-
-    def test_mid_request_disconnect_threaded(self):
-        server = make_server()
-        with TcpServerTransport(server, port=0) as tcp:
-            s = socket.create_connection(("127.0.0.1", tcp.port), timeout=5)
-            s.sendall(b'{"op": "fet')  # half a frame, then vanish
-            s.close()
-            with TcpClientTransport("127.0.0.1", tcp.port) as transport:
-                client = TuningClient(transport)
-                client.register(make_space())
-                config = client.fetch()
-                client.report(objective(config), step=0)
-        assert server.n_reports == 1
-
-    def test_oversized_frame_rejected_threaded(self):
-        server = make_server()
-        with TcpServerTransport(server, port=0, max_line_bytes=4096) as tcp:
-            with socket.create_connection(("127.0.0.1", tcp.port), timeout=5) as s:
-                s.sendall(b"y" * 10000 + b"\n")
-                fh = s.makefile("rb")
-                resp = json.loads(fh.readline())
-                assert not resp["ok"]
-                assert "exceeds" in resp["error"]
-                assert fh.readline() == b""
-            # Fresh connections still served afterwards.
-            with TcpClientTransport("127.0.0.1", tcp.port) as transport:
-                assert TuningClient(transport).status() is not None
-
-    def test_oversized_unterminated_frame_rejected(self):
-        """A frame that never ends hits the cap without a newline."""
-        server = make_server()
-        with TcpServerTransport(server, port=0, max_line_bytes=2048) as tcp:
-            with socket.create_connection(("127.0.0.1", tcp.port), timeout=5) as s:
-                s.sendall(b"z" * 5000)  # no newline at all
-                resp = json.loads(s.makefile("rb").readline())
-                assert not resp["ok"]

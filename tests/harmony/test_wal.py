@@ -16,7 +16,8 @@ from repro.core.sampling import SamplingPlan
 from repro.faults import FaultPlan, dropping_factory
 from repro.harmony.client import TuningClient
 from repro.harmony.server import TuningServer
-from repro.harmony.transport import InProcessTransport, TcpServerTransport
+from repro.harmony.aio import AsyncTcpServerTransport
+from repro.harmony.transport import InProcessTransport
 from repro.harmony.wal import (
     WalError,
     WalWriter,
@@ -327,7 +328,7 @@ class TestAckImpliesDurable:
         """Regression for the group-commit placement: by the time a client
         holds an ACK, the report must already be replayable from disk."""
         server = durable_server(tmp_path, sync="batch")
-        with TcpServerTransport(server, port=0) as transport:
+        with AsyncTcpServerTransport(server, port=0) as transport:
             from repro.harmony.transport import TcpClientTransport
 
             with TcpClientTransport("127.0.0.1", transport.port) as conn:
@@ -343,20 +344,10 @@ class TestAckImpliesDurable:
                     assert len(acked) == step + 1
         server.close_wal()
 
-    def test_transport_stop_flushes_pending_appends(self, tmp_path):
-        server = durable_server(tmp_path, sync="off")
-        with TcpServerTransport(server, port=0):
-            # an append that never went through a request's group commit
-            server.wal_append({"t": "op", "m": {"op": "requeue",
-                                                "session": "default"}})
-        _, ops, _ = replay_dir(tmp_path)
-        assert {"t": "op", "m": {"op": "requeue", "session": "default"}} in ops
-
     def test_async_stop_flushes_pending_appends(self, tmp_path):
-        from repro.harmony.aio import AsyncTcpServerTransport
-
         server = durable_server(tmp_path, sync="off")
         with AsyncTcpServerTransport(server, port=0):
+            # an append that never went through a request's group commit
             server.wal_append({"t": "op", "m": {"op": "requeue",
                                                 "session": "default"}})
         _, ops, _ = replay_dir(tmp_path)

@@ -7,7 +7,6 @@ from repro.experiments.common import tuner_factory
 from repro.harmony.admission import AdmissionController
 from repro.harmony.aio import AsyncTcpServerTransport
 from repro.harmony.server import TuningServer
-from repro.harmony.transport import TcpServerTransport
 from repro.loadgen import LoadGenerator, LoadgenConfig, SloPolicy, loadgen_space
 
 
@@ -59,7 +58,7 @@ class TestClosedLoop:
 
     def test_batched_rounds_count_once_per_round(self):
         server = make_server()
-        with TcpServerTransport(server) as transport:
+        with AsyncTcpServerTransport(server) as transport:
             config = LoadgenConfig(
                 mode="closed", sessions=2, steps=2, connections=1,
                 batch=4, slo=_LOOSE,
@@ -74,7 +73,7 @@ class TestClosedLoop:
             admission=AdmissionController(2, retry_after_s=0.002),
             service_delay_s=0.001,
         )
-        with TcpServerTransport(server) as transport:
+        with AsyncTcpServerTransport(server) as transport:
             config = LoadgenConfig(
                 mode="closed", sessions=8, steps=3, connections=4,
                 busy_retries=10_000, slo=_LOOSE,
@@ -86,7 +85,7 @@ class TestClosedLoop:
 
     def test_to_dict_is_json_ready(self):
         server = make_server()
-        with TcpServerTransport(server) as transport:
+        with AsyncTcpServerTransport(server) as transport:
             config = LoadgenConfig(
                 mode="closed", sessions=2, steps=1, connections=1, slo=_LOOSE
             )
@@ -116,7 +115,7 @@ class TestOpenLoop:
             admission=AdmissionController(1, retry_after_s=0.002),
             service_delay_s=0.005,
         )
-        with TcpServerTransport(server) as transport:
+        with AsyncTcpServerTransport(server) as transport:
             config = LoadgenConfig(
                 mode="open", sessions=4, duration_s=1.0, rate=400.0,
                 arrival="pareto", tail_alpha=1.5, connections=4,
@@ -133,7 +132,7 @@ class TestOpenLoop:
         counts = []
         for _ in range(2):
             server = make_server()
-            with TcpServerTransport(server) as transport:
+            with AsyncTcpServerTransport(server) as transport:
                 config = LoadgenConfig(
                     mode="open", sessions=2, duration_s=0.5, rate=80.0,
                     arrival="poisson", connections=1, seed=7, slo=_LOOSE,

@@ -94,15 +94,9 @@ class TestTune:
 class TestServe:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["serve"])
-        assert args.transport == "async"
         assert args.port == 7077
 
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--transport", "carrier-pigeon"])
-
-    @pytest.mark.parametrize("transport", ["async", "threaded"])
-    def test_serve_round_trip(self, transport, tmp_path):
+    def test_serve_round_trip(self, tmp_path):
         """Host for a bounded duration; a real client tunes against it."""
         import threading
 
@@ -118,7 +112,7 @@ class TestServe:
         codes = []
         thread = threading.Thread(
             target=lambda: codes.append(
-                main(["serve", "--port", "0", "--transport", transport,
+                main(["serve", "--port", "0",
                       "--duration", "3", "--port-file", str(port_file),
                       "--trace", str(trace)])
             )
@@ -176,7 +170,6 @@ class TestFleet:
         assert args.shards == 2
         assert args.sessions is None
         assert args.wire == "binary"
-        assert args.transport == "threaded"
         assert args.lease_s == 2.0
         assert not args.no_wal
         assert args.kill_shard is None
