@@ -87,17 +87,32 @@ def objective(point) -> float:
     return 1.0 + (a - 3) ** 2 + (b + 2) ** 2
 
 
-def make_server(*, binproto: bool = False, wal_dir=None) -> TuningServer:
+def make_server(*, binproto: bool = False, wal=None) -> TuningServer:
     server = TuningServer(
         lambda s: ParallelRankOrdering(s),
         plan=SamplingPlan(1, MinEstimator()),
         binproto=binproto,
     )
-    if wal_dir is not None:
-        from repro.harmony.wal import WalWriter
-
-        server.attach_wal(WalWriter(wal_dir, sync="batch"))
+    if wal is not None:
+        server.attach_wal(wal)
     return server
+
+
+def fsync_probe_ms(directory: Path, n: int = 32) -> float:
+    """p50 of one small append + fsync in *directory*, in ms.
+
+    The disk's own price for a group commit, measured next to the WAL arm
+    so a failing ``wal_overhead`` shows whether the code or the disk moved.
+    """
+    samples = []
+    with open(directory / "fsync-probe.bin", "ab") as fh:
+        for _ in range(n):
+            t0 = time.perf_counter()
+            fh.write(b"\0" * 64)
+            fh.flush()
+            os.fsync(fh.fileno())
+            samples.append(time.perf_counter() - t0)
+    return round(float(np.median(samples)) * 1e3, 4)
 
 
 def _run_arm(mode: str, n_clients: int, total_steps: int,
@@ -109,7 +124,9 @@ def _run_arm(mode: str, n_clients: int, total_steps: int,
     the same ``fetch_many``/``report_many`` client calls, so the arms
     differ only in the wire).  *wal_dir* arms the write-ahead log in
     group-commit mode — every mutation logged, one fsync per request chunk
-    — to price durability against the identical non-durable arm.
+    — to price durability against the identical non-durable arm; the arm
+    then also records ``fsyncs_per_report`` (group commits per acked
+    report).
     """
     batched = mode != "single"
     width = BINARY_WIDTH if mode == "binary" else BATCH_WIDTH
@@ -117,7 +134,12 @@ def _run_arm(mode: str, n_clients: int, total_steps: int,
     if batched:
         rounds = max(1, steps // width)
         steps = rounds * width
-    server = make_server(binproto=mode == "binary", wal_dir=wal_dir)
+    wal = None
+    if wal_dir is not None:
+        from repro.harmony.wal import WalWriter
+
+        wal = WalWriter(wal_dir, sync="batch")
+    server = make_server(binproto=mode == "binary", wal=wal)
     barrier = threading.Barrier(n_clients + 1)
     latencies: list[list[float]] = [[] for _ in range(n_clients)]
     msgs_sent = [0] * n_clients
@@ -174,13 +196,16 @@ def _run_arm(mode: str, n_clients: int, total_steps: int,
     assert server.n_reports == total_msgs // 2, "lost reports under load"
     server.close_wal()
     rtts = np.asarray([v for lat in latencies for v in lat], dtype=float)
-    return {
+    arm = {
         "clients": n_clients,
         "msgs": total_msgs,
         "rps": round(total_msgs / wall, 1),
         "p50_ms": round(float(np.quantile(rtts, 0.5)) * 1e3, 3),
         "p99_ms": round(float(np.quantile(rtts, 0.99)) * 1e3, 3),
     }
+    if wal is not None:
+        arm["fsyncs_per_report"] = round(wal.n_commits / server.n_reports, 5)
+    return arm
 
 
 @pytest.mark.bench_smoke
@@ -221,11 +246,14 @@ def test_smoke_server_throughput(scale):
         wal_arm = _run_arm(
             "binary", 32, total_steps, wal_dir=Path(wal_tmp) / "wal"
         )
+        wal_arm["fsync_p50_ms"] = fsync_probe_ms(Path(wal_tmp))
     wal_overhead = max(0.0, 1.0 - wal_arm["rps"] / binary)
     assert wal_overhead < 0.10, (
         "the WAL in group-commit mode must cost < 10% of binary serving "
         f"throughput at 32 clients, measured {wal_overhead:.1%} "
-        f"({binary:.0f} -> {wal_arm['rps']:.0f} req/s)"
+        f"({binary:.0f} -> {wal_arm['rps']:.0f} req/s); "
+        f"{wal_arm['fsyncs_per_report']:.5f} fsyncs per acked report, "
+        f"append+fsync p50 {wal_arm['fsync_p50_ms']:.3f} ms on this disk"
     )
     arms["async_binary_wal"] = {"32": wal_arm}
 

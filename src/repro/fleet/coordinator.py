@@ -101,7 +101,6 @@ class FleetCoordinator:
         probe_timeout: float = 0.25,
         adopt_timeout: float = 10.0,
         clock: Callable[[], float] = time.monotonic,
-        admission: Any | None = None,
         rebalance: Any | None = None,
     ) -> None:
         if lease_s <= 0:
@@ -110,9 +109,6 @@ class FleetCoordinator:
         self._plan = plan
         #: optional :class:`~repro.fleet.rebalance.RebalancePlanner`
         self.planner = rebalance
-        #: optional :class:`~repro.harmony.admission.AdmissionController`;
-        #: the serving transports enforce it in front of :meth:`handle`
-        self.admission = admission
         self.lease_s = float(lease_s)
         self.metrics = metrics
         self.tracer = tracer

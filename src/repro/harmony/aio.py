@@ -15,12 +15,20 @@ chunk through the staged pipeline of :mod:`repro.harmony.transport`:
   slow or malicious peer can neither balloon input memory nor let the
   output buffer grow without bound;
 * **admission at arrival** — with an admission controller attached,
-  frames are priced and admitted (or shed with ``busy``) on the loop
-  thread and dispatched on a small thread pool, so the loop keeps reading
-  and refusing new frames while handlers run;
+  each chunk's frames are priced and admitted (or shed with ``busy``)
+  when the chunk arrives, and the connection then yields to the loop
+  once before answering, so every chunk that arrived in the same loop
+  iteration is charged against the budget before any of them is served
+  and a burst past the budget sheds at once instead of queueing;
 * **graceful drain** — :meth:`stop` closes the listener, gives live
   connections ``drain_timeout`` seconds to finish in-flight requests and
   disconnect, and only then cancels the stragglers.
+
+Handlers run on the loop thread, with admission on or off: the server's
+handlers hold the GIL, so a worker pool would add two thread hand-offs per
+chunk and no capacity.  The trade-off is that a slow handler (or a WAL
+fsync under ``sync='batch'``) stalls every connection for its duration;
+the admission budget still bounds how much work is waiting behind it.
 
 The event loop runs on a dedicated daemon thread so the transport exposes
 a synchronous ``start()``/``stop()``/context-manager surface, and so one
@@ -32,7 +40,6 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 from repro.harmony import binproto, protocol
 from repro.harmony.server import TuningServer
@@ -46,11 +53,6 @@ from repro.harmony.transport import (
 )
 
 __all__ = ["AsyncTcpServerTransport"]
-
-#: dispatch workers when admission control is on — enough overlap for the
-#: pending-work budget to be a real queue-depth measure, few enough that
-#: the GIL-bound handlers don't thrash
-_ADMISSION_WORKERS = 4
 
 
 class AsyncTcpServerTransport:
@@ -87,13 +89,6 @@ class AsyncTcpServerTransport:
         self._thread: threading.Thread | None = None
         self._aserver: asyncio.AbstractServer | None = None
         self._conn_tasks: set[asyncio.Task] = set()
-        #: dispatch pool, created at start() iff the server has an
-        #: admission controller.  Inline dispatch keeps the event loop as
-        #: the implicit queue — work backs up invisibly in socket buffers.
-        #: Offloading makes admitted-but-unfinished chunks *countable*, so
-        #: the pending-work budget bounds real queue depth and excess
-        #: chunks shed with ``busy`` at arrival instead of waiting forever.
-        self._pool: ThreadPoolExecutor | None = None
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -101,10 +96,6 @@ class AsyncTcpServerTransport:
         """Bind the socket and start serving on a background event loop."""
         if self._loop is not None:
             raise RuntimeError("transport already started")
-        if getattr(self.server, "admission", None) is not None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=_ADMISSION_WORKERS, thread_name_prefix="aio-dispatch"
-            )
         loop = asyncio.new_event_loop()
         self._loop = loop
         started = threading.Event()
@@ -150,9 +141,6 @@ class AsyncTcpServerTransport:
                 flush()
 
     def _teardown_loop(self) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
         loop, self._loop = self._loop, None
         thread, self._thread = self._thread, None
         if loop is not None:
@@ -206,25 +194,26 @@ class AsyncTcpServerTransport:
                 items = splitter.feed(chunk)
                 if not items:
                     continue
-                if self._pool is None:
+                if getattr(self.server, "admission", None) is None:
                     payload, closing = respond_frames(
                         self.server, items, self.wire, self.max_line_bytes
                     )
                 else:
                     # Admission control: price and admit (or shed) at
-                    # *arrival*, on the loop thread, then dispatch on the
-                    # pool.  The granted units stay charged until the
-                    # responses are built: waiting for a worker, dispatch,
-                    # modeled service time, WAL commit.  They are returned
-                    # before the write, so a client holding its reply
-                    # never sees its own request still pending.
+                    # *arrival*, then yield once, so every chunk that
+                    # arrived in this loop iteration is charged before any
+                    # is answered.  The granted units stay charged until
+                    # the responses are built: waiting for the loop,
+                    # dispatch, modeled service time, WAL commit.  They
+                    # are returned before the write, so a client holding
+                    # its reply never sees its own request still pending.
                     prepared = prepare_items(items, self.max_line_bytes)
                     flags, grants = plan_admission(self.server, prepared)
                     try:
-                        loop = asyncio.get_running_loop()
-                        payload, closing = await loop.run_in_executor(
-                            self._pool, respond_prepared, self.server,
-                            prepared, flags, self.wire, self.max_line_bytes,
+                        await asyncio.sleep(0)
+                        payload, closing = respond_prepared(
+                            self.server, prepared, flags, self.wire,
+                            self.max_line_bytes,
                         )
                     finally:
                         finish_admission(self.server, grants)

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict, defaultdict
 from contextlib import ExitStack
 from typing import Any, Callable, Mapping
 
@@ -87,6 +86,11 @@ _ESTIMATOR_NAMES = {cls: name for name, cls in _SESSION_ESTIMATORS.items()}
 #: pipelined client retries only its most recent window, so a small cache
 #: bounds memory without ever evicting a reply that can still be asked for
 _REPLY_CACHE = 64
+
+#: the cached replies of the two report ACKs, shared by every cache entry
+#: that holds one (duplicates are answered with a copy, never these dicts)
+_ACK_REPLY = ("resp", {"ok": True})
+_STALE_REPLY = ("resp", {"ok": True, "stale": True})
 
 
 class SessionMovedAway(Exception):
@@ -162,11 +166,13 @@ class ServerSession:
         self._batch: list[np.ndarray] = []
         self._samples: list[list[float]] = []
         self._assigned: list[int] = []
-        # measurement log: step index -> {client_id: time}
-        self._log: dict[int, dict[int, float]] = defaultdict(dict)
+        # measurement log: (step index, client_id) -> time, in first-report
+        # order (one flat dict: a nested dict per step costs ~200 bytes)
+        self._log: dict[tuple[int, int], float] = {}
         self.n_reports = 0
         # per-client exactly-once state: high-water mark + bounded reply
-        # cache, keyed by client id; registration nonces map to client ids
+        # cache (cseq -> reply, oldest first), keyed by client id;
+        # registration nonces map to client ids
         self._clients: dict[int, dict[str, Any]] = {}
         self._reg_nonces: dict[str, int] = {}
         #: WAL append callback installed by the hosting TuningServer
@@ -188,7 +194,7 @@ class ServerSession:
     def _client_state(self, client_id: int) -> dict[str, Any]:
         state = self._clients.get(client_id)
         if state is None:
-            state = self._clients[client_id] = {"hwm": -1, "cache": OrderedDict()}
+            state = self._clients[client_id] = {"hwm": -1, "cache": {}}
         return state
 
     def _dedupe(self, client_id: Any, cseq: Any) -> tuple[bool, Any]:
@@ -215,7 +221,22 @@ class ServerSession:
         cache = state["cache"]
         cache[int(cseq)] = reply
         while len(cache) > self._reply_cache_size:
-            cache.popitem(last=False)
+            del cache[next(iter(cache))]
+
+    @staticmethod
+    def _json_reply(cached: Any) -> dict[str, Any] | None:
+        """The JSON response a cached reply stands for (None if it has none).
+
+        Fetch replies are cached as ``("fetch", token, point_tuple)`` and
+        rebuilt here, so a retry gets the same response the original did.
+        """
+        if cached is None:
+            return None
+        if cached[0] == "resp":
+            return dict(cached[1])
+        if cached[0] == "fetch":
+            return {"ok": True, "point": list(cached[2]), "token": cached[1]}
+        return None
 
     # -- operations -------------------------------------------------------------------
 
@@ -306,8 +327,9 @@ class ServerSession:
             cseq = message.get("cseq")
             duplicate, cached = self._dedupe(client_id, cseq)
             if duplicate:
-                if cached is not None and cached[0] == "resp":
-                    return dict(cached[1])
+                reply = self._json_reply(cached)
+                if reply is not None:
+                    return reply
                 return error_response(
                     f"fetch cseq {cseq} was already applied but its reply "
                     "has been evicted from the cache"
@@ -322,21 +344,13 @@ class ServerSession:
                     best_idx, best_load = i, load
             if best_idx >= 0:
                 self._assigned[best_idx] += 1
-                point = self._batch[best_idx]
-                response = {
-                    "ok": True,
-                    "point": [float(x) for x in point],
-                    "token": best_idx,
-                }
+                coords = [float(x) for x in self._batch[best_idx]]
             else:
                 # Everything in flight or converged: exploit the incumbent.
-                point = self.tuner.best_point
-                response = {
-                    "ok": True,
-                    "point": [float(x) for x in np.asarray(point, dtype=float)],
-                    "token": -1,
-                }
-            self._record_reply(client_id, cseq, ("resp", dict(response)))
+                incumbent = np.asarray(self.tuner.best_point, dtype=float)
+                coords = [float(x) for x in incumbent]
+            response = {"ok": True, "point": coords, "token": best_idx}
+            self._record_reply(client_id, cseq, ("fetch", best_idx, tuple(coords)))
             record = {"op": "fetch", "session": self.name}
             if client_id is not None:
                 record["client_id"] = int(client_id)
@@ -361,8 +375,9 @@ class ServerSession:
             cseq = message.get("cseq")
             duplicate, cached = self._dedupe(client, cseq)
             if duplicate:
-                if cached is not None and cached[0] == "resp":
-                    return dict(cached[1])
+                reply = self._json_reply(cached)
+                if reply is not None:
+                    return reply
                 return {"ok": True, "duplicate": True}
             token = int(message["token"])
             time = float(message["time"])
@@ -370,15 +385,15 @@ class ServerSession:
                 return error_response(f"invalid time {time!r}")
             step = int(message.get("step", -1))
             if step >= 0:
-                self._log[step][client] = time
+                self._log[step, client] = time
             self.n_reports += 1
-            response = {"ok": True}
+            reply = _ACK_REPLY
             if token >= 0:
                 if token >= len(self._batch):
                     # A late report for a batch that already completed (e.g.
                     # after a requeue raced a slow client): the measurement
                     # is logged above but no longer feeds the tuner.
-                    response = {"ok": True, "stale": True}
+                    reply = _STALE_REPLY
                 else:
                     self._assigned[token] = max(0, self._assigned[token] - 1)
                     self._samples[token].append(time)
@@ -391,7 +406,7 @@ class ServerSession:
                         self._batch = []
                         self._samples = []
                         self._assigned = []
-            self._record_reply(client, cseq, ("resp", dict(response)))
+            self._record_reply(client, cseq, reply)
             record = {
                 "op": "report", "session": self.name, "client_id": client,
                 "token": token, "time": time, "step": step,
@@ -399,7 +414,7 @@ class ServerSession:
             if cseq is not None:
                 record["cseq"] = int(cseq)
             self._append_wal({"t": "op", "m": record})
-            return response
+            return dict(reply[1])
 
     # -- array-native batch operations (the binary wire fast path) --------------------
 
@@ -503,7 +518,7 @@ class ServerSession:
             if step >= 0 and times.size:
                 # Same end state as op_report's per-message log writes:
                 # one (step, client) cell, last measurement wins.
-                self._log[step][client] = float(times[-1])
+                self._log[step, client] = float(times[-1])
             self.n_reports += times.size
             n_stale = self._absorb_reports(tokens, times)
             n_ok = int(times.size) - n_stale
@@ -671,10 +686,7 @@ class ServerSession:
                 "tuner": self.tuner.to_dict(),
                 "batch": [[float(x) for x in p] for p in self._batch],
                 "samples": [list(map(float, s)) for s in self._samples],
-                "log": {
-                    str(step): {str(c): t for c, t in clients.items()}
-                    for step, clients in self._log.items()
-                },
+                "log": self._log_spec(),
                 "n_reports": self.n_reports,
                 "next_client": self._next_client,
             }
@@ -697,10 +709,7 @@ class ServerSession:
             self._batch = [np.asarray(p, dtype=float) for p in snapshot["batch"]]
             self._samples = [list(s) for s in snapshot["samples"]]
             self._assigned = [0 for _ in self._batch]
-            self._log = defaultdict(dict)
-            for step, clients in snapshot.get("log", {}).items():
-                for client, t in clients.items():
-                    self._log[int(step)][int(client)] = float(t)
+            self._log = self._log_from_spec(snapshot.get("log", {}))
             self.n_reports = int(snapshot.get("n_reports", 0))
             self._next_client = int(snapshot.get("next_client", 0))
             self._append_wal({
@@ -714,10 +723,31 @@ class ServerSession:
 
     # -- WAL snapshot state -------------------------------------------------------
 
+    def _log_spec(self) -> dict[str, dict[str, float]]:
+        """The measurement log as ``{step: {client: time}}`` JSON.
+
+        Steps, and clients within a step, come out in first-report order:
+        key order is part of the snapshot and checkpoint format.
+        """
+        spec: dict[str, dict[str, float]] = {}
+        for (step, client), t in self._log.items():
+            spec.setdefault(str(step), {})[str(client)] = t
+        return spec
+
+    @staticmethod
+    def _log_from_spec(
+        spec: Mapping[str, Mapping[str, float]]
+    ) -> dict[tuple[int, int], float]:
+        return {
+            (int(step), int(client)): float(t)
+            for step, clients in spec.items()
+            for client, t in clients.items()
+        }
+
     def _serialize_reply(self, reply: Any) -> list:
         kind = reply[0]
-        if kind == "resp":
-            return ["resp", reply[1]]
+        if kind in ("resp", "fetch"):
+            return ["resp", self._json_reply(reply)]
         if kind == "points":
             return [
                 "points",
@@ -764,10 +794,7 @@ class ServerSession:
                 "batch": [[float(x) for x in p] for p in self._batch],
                 "samples": [list(map(float, s)) for s in self._samples],
                 "assigned": [int(a) for a in self._assigned],
-                "log": {
-                    str(step): {str(c): t for c, t in clients.items()}
-                    for step, clients in self._log.items()
-                },
+                "log": self._log_spec(),
                 "n_reports": self.n_reports,
                 "next_client": self._next_client,
                 "nonces": dict(self._reg_nonces),
@@ -800,10 +827,7 @@ class ServerSession:
             self._batch = [np.asarray(p, dtype=float) for p in snapshot["batch"]]
             self._samples = [list(s) for s in snapshot["samples"]]
             self._assigned = [int(a) for a in snapshot["assigned"]]
-            self._log = defaultdict(dict)
-            for step, clients in snapshot.get("log", {}).items():
-                for client, t in clients.items():
-                    self._log[int(step)][int(client)] = float(t)
+            self._log = self._log_from_spec(snapshot.get("log", {}))
             self.n_reports = int(snapshot.get("n_reports", 0))
             self._next_client = int(snapshot.get("next_client", 0))
             self._reg_nonces = {
@@ -812,7 +836,7 @@ class ServerSession:
             }
             self._clients = {}
             for cid, state in snapshot.get("clients", {}).items():
-                cache: OrderedDict = OrderedDict()
+                cache: dict[int, Any] = {}
                 for cseq, entry in state["cache"]:
                     cache[int(cseq)] = self._deserialize_reply(entry)
                 self._clients[int(cid)] = {"hwm": int(state["hwm"]), "cache": cache}
@@ -841,10 +865,10 @@ class ServerSession:
         step order.
         """
         with self._lock:
-            steps = sorted(self._log)
-            return np.array(
-                [max(self._log[s].values()) for s in steps], dtype=float
-            )
+            barrier: dict[int, float] = {}
+            for (step, _client), t in self._log.items():
+                barrier[step] = max(barrier.get(step, t), t)
+            return np.array([barrier[s] for s in sorted(barrier)], dtype=float)
 
     def total_time(self) -> float:
         """Σ_k T_k over the reconstructed barrier times (Eq. 2)."""

@@ -116,10 +116,10 @@ def plan_admission(
     the ``(weight, session)`` grants to hand back via
     :func:`finish_admission` once the responses have been built.  The
     admitted units stay charged from this call until then — that window
-    (waiting for a worker, dispatch, modeled service time, WAL commit)
-    *is* the pending work the budget bounds.  The response write is not
-    charged: a connection blocked in a write reads no new frames, so the
-    write cannot grow the queue.
+    (waiting for the event loop, dispatch, modeled service time, WAL
+    commit) *is* the pending work the budget bounds.  The response write
+    is not charged: a connection blocked in a write reads no new frames,
+    so the write cannot grow the queue.
     """
     admission = getattr(server, "admission", None)
     if admission is None:
@@ -148,7 +148,11 @@ def plan_admission(
 def finish_admission(
     server: TuningServer, grants: Sequence[tuple[int, str | None]]
 ) -> None:
-    """Return granted admission units once their responses are built."""
+    """Return granted admission units once their responses are built.
+
+    The asyncio server calls this after :func:`respond_prepared` and
+    before writing the responses, on the loop thread.
+    """
     if not grants:
         return
     admission = getattr(server, "admission", None)
@@ -240,8 +244,9 @@ def respond_frames(
     :func:`prepare_items` → :func:`plan_admission` →
     :func:`respond_prepared` → :func:`finish_admission` in one call, with
     the admitted units held until the responses are built.  The asyncio
-    server runs this inline when admission is off; with admission on it
-    spreads the same stages around its executor hop.  Returns
+    server runs this when admission is off; with admission on it runs the
+    same stages itself, yielding to the event loop once between
+    :func:`plan_admission` and :func:`respond_prepared`.  Returns
     ``(payload, closing)``.
     """
     prepared = prepare_items(items, max_line_bytes)

@@ -107,6 +107,37 @@ def golden_jsonl(request):
 
 
 @pytest.fixture
+def golden_text(request):
+    """Compare *text* against a committed file byte for byte.
+
+    Usage: ``golden_text("state.json", json.dumps(state, indent=1))``.
+    Unlike :func:`golden`, nothing is normalized: key order, float
+    spelling and whitespace all count, so the check pins a serialized
+    format exactly (WAL snapshots, checkpoints).
+    """
+    regen = request.config.getoption("--regen-golden")
+
+    def check(name: str, text: str) -> None:
+        path = GOLDEN_DIR / name
+        if regen:
+            GOLDEN_DIR.mkdir(exist_ok=True)
+            path.write_text(text)
+            return
+        if not path.exists():
+            pytest.fail(
+                f"golden file {name} is missing; generate it with "
+                f"`pytest --regen-golden` and commit the result"
+            )
+        assert text == path.read_text(), (
+            f"output diverged byte-for-byte from golden file {name}; if the "
+            f"change is intentional, regenerate with `pytest --regen-golden` "
+            f"and review the diff"
+        )
+
+    return check
+
+
+@pytest.fixture
 def faulty_evaluator():
     """Factory for :class:`repro.faults.FaultyEvaluator` substrates.
 

@@ -3,12 +3,14 @@
 import contextlib
 import json
 import socket
+import threading
 
 import numpy as np
 import pytest
 
 from repro.core.pro import ParallelRankOrdering
 from repro.core.sampling import SamplingPlan
+from repro.harmony.admission import AdmissionController
 from repro.harmony.aio import AsyncTcpServerTransport
 from repro.harmony.client import TuningClient
 from repro.harmony.server import TuningServer
@@ -97,6 +99,37 @@ class TestAsyncRoundTrips:
         tcp.start()
         tcp.stop()
         tcp.stop()  # second stop is a no-op, not an error
+
+    def test_admitted_frames_are_answered_on_the_loop_thread(self):
+        """With admission on, handlers run on the event loop itself: no
+        dispatch thread is started, and every request is handled on the
+        loop's own thread."""
+        server = make_server()
+        server.admission = AdmissionController(8)
+        handled_on = set()
+        handle = server.handle
+
+        def recording_handle(message):
+            handled_on.add(threading.get_ident())
+            return handle(message)
+
+        server.handle = recording_handle
+        with AsyncTcpServerTransport(server, port=0) as tcp:
+            with TcpClientTransport("127.0.0.1", tcp.port) as transport:
+                client = TuningClient(transport)
+                client.register(make_space())
+                for step in range(20):
+                    config = client.fetch()
+                    client.report(objective(config), step=step)
+            dispatch = [
+                t.name for t in threading.enumerate()
+                if t.name.startswith("aio-dispatch")
+            ]
+            loop_thread = tcp._thread.ident
+        assert dispatch == []
+        assert handled_on == {loop_thread}
+        assert server.n_reports == 20
+        assert server.admission.admitted == server.admission.completed > 0
 
 
 class TestAsyncHardening:

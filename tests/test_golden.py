@@ -11,7 +11,10 @@ NaN-free (NaN defeats JSON round-trip equality), so the faulted sweep
 below uses a plan seed verified to leave survivors in every cell.
 """
 
+import json
 import math
+
+import numpy as np
 
 from repro.core.pro import ParallelRankOrdering
 from repro.core.sampling import SamplingPlan
@@ -152,3 +155,147 @@ def test_wal_recovery_trace_snapshot(golden_jsonl, tmp_path):
         canonical_events(tracer_before.drain())
         + canonical_events(tracer_after.drain()),
     )
+
+
+# -- serialized server state, byte for byte ------------------------------------------
+#
+# WAL snapshots, checkpoints and migration all ship ``state_dict()`` /
+# ``op_checkpoint()`` JSON, and logs written by one build are replayed by
+# the next.  The scripted session below touches every kind of state a
+# session serializes: two clients, K = 2, a reply cache small enough to
+# evict, fetch / report / stale / incumbent replies on the JSON face,
+# ``points`` / ``ack`` replies on the array face, a batch part-way
+# through its samples, and an unstamped re-report of a logged
+# (step, client) cell (last write wins).
+
+_STATE_SPACE = [
+    {"type": "int", "name": "a", "lower": -10, "upper": 10, "step": 1},
+    {"type": "int", "name": "b", "lower": -10, "upper": 10, "step": 1},
+]
+
+
+def _state_cost(point):
+    a, b = point
+    return 1.0 + 0.25 * (a - 3) ** 2 + 0.5 * (b + 2) ** 2
+
+
+def _state_server(wal_dir=None):
+    """A server for the scripted session (recovered from *wal_dir* if given)."""
+    from repro.core.sampling import MinEstimator
+    from repro.experiments.common import tuner_factory
+    from repro.harmony.server import TuningServer
+    from repro.harmony.wal import recover_server
+
+    factory, plan = tuner_factory("pro", rng=0), SamplingPlan(1, MinEstimator())
+    if wal_dir is None:
+        return TuningServer(factory, plan=plan, reply_cache_size=4)
+    return recover_server(factory, wal_dir, plan=plan, reply_cache_size=4)
+
+
+def _script_session(server):
+    name = "g"
+    server.handle({"op": "open_session", "session": name, "k": 2, "estimator": "min"})
+    ids = [
+        server.handle({
+            "op": "register", "session": name, "params": _STATE_SPACE,
+            "nonce": f"n{i}",
+        })["client_id"]
+        for i in range(2)
+    ]
+    cseq = [0, 0]
+
+    def stamp(client):
+        cseq[client] += 1
+        return cseq[client]
+
+    for step in range(10):
+        order = ids if step % 2 == 0 else ids[::-1]
+        fetched = {
+            c: server.handle({
+                "op": "fetch", "session": name, "client_id": c, "cseq": stamp(c),
+            })
+            for c in order
+        }
+        for c in reversed(order):
+            reply = fetched[c]
+            server.handle({
+                "op": "report", "session": name, "client_id": c,
+                "token": reply["token"],
+                "time": _state_cost(reply["point"]) + 0.125 * c + 0.0625 * step,
+                "step": step, "cseq": stamp(c),
+            })
+    session = server.session(name)
+    points, tokens = session.fetch_many_arrays(3, client_id=1, cseq=stamp(1))
+    times = np.array([_state_cost(p) for p in points]) + 0.5
+    session.report_many_arrays(tokens, times, client_id=1, step=10, cseq=stamp(1))
+    server.handle({
+        "op": "report", "session": name, "client_id": 0, "token": -1,
+        "time": 7.75, "step": 3,
+    })
+    # fetches left in flight until one falls through to the incumbent;
+    # the first of them is then reported, so the batch holds a sample
+    in_flight = []
+    for _ in range(12):
+        reply = server.handle({
+            "op": "fetch", "session": name, "client_id": 0, "cseq": stamp(0),
+        })
+        if reply["token"] < 0:
+            break
+        in_flight.append(reply)
+    server.handle({
+        "op": "report", "session": name, "client_id": 0,
+        "token": in_flight[0]["token"],
+        "time": _state_cost(in_flight[0]["point"]), "step": 11, "cseq": stamp(0),
+    })
+    server.handle({
+        "op": "report", "session": name, "client_id": 0, "token": 99,
+        "time": 2.5, "step": 12, "cseq": stamp(0),
+    })
+    # a retried report: answered from the cache, mutates nothing
+    retry = server.handle({
+        "op": "report", "session": name, "client_id": 0, "token": 99,
+        "time": 2.5, "step": 12, "cseq": cseq[0],
+    })
+    assert retry == {"ok": True, "stale": True}
+
+
+def _state_text(server):
+    checkpoint = server.handle({"op": "checkpoint", "session": "g"})
+    assert checkpoint["ok"]
+    return json.dumps(
+        {"state_dict": server.state_dict(), "checkpoint": checkpoint["snapshot"]},
+        indent=1,
+    ) + "\n"
+
+
+def test_server_state_bytes_snapshot(golden_text, tmp_path):
+    """``state_dict()`` and ``op_checkpoint()`` are pinned byte for byte,
+    and WAL replay, snapshot recovery and migration reproduce them."""
+    from repro.harmony.wal import WalWriter
+
+    wal_dir = tmp_path / "wal"
+    server = _state_server()
+    server.attach_wal(WalWriter(wal_dir))
+    _script_session(server)
+    server.commit_wal()
+    text = _state_text(server)
+    golden_text("server_session_state.json", text)
+    server.close_wal()
+
+    replayed = _state_server(wal_dir=wal_dir)
+    assert _state_text(replayed) == text
+    assert replayed.snapshot_wal()
+    replayed.close_wal()
+    from_snapshot = _state_server(wal_dir=wal_dir)
+    assert _state_text(from_snapshot) == text
+    from_snapshot.close_wal()
+
+    before = json.dumps(from_snapshot.session("g").state_dict())
+    exported = from_snapshot.handle({"op": "export_session", "session": "g"})
+    target = _state_server()
+    adopted = target.handle({
+        "op": "adopt_session", "session": "g",
+        "state": json.loads(json.dumps(exported["state"])),
+    })
+    assert adopted["ok"]
+    assert json.dumps(target.session("g").state_dict()) == before
