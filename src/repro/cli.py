@@ -118,21 +118,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=7077,
                          help="TCP port (0 = let the OS pick a free one)")
-    p_serve.add_argument("--tuner", choices=TUNER_NAMES, default="pro")
-    p_serve.add_argument("--k", type=int, default=1,
-                         help="samples per candidate (multi-sampling)")
-    p_serve.add_argument("--estimator", choices=sorted(_ESTIMATORS),
-                         default="min")
-    p_serve.add_argument("--wire", choices=["binary", "json"], default="binary",
-                         help="wire formats accepted on the port: 'binary' "
-                         "sniffs JSON lines and binary frames per frame "
-                         "(and advertises the binary fast path at "
-                         "register); 'json' disables binary frames")
+    _add_service_options(p_serve)
     p_serve.add_argument("--workload", choices=["none", "gs2", "stencil", "bench"],
                          default="none",
                          help="preset the parameter space from a built-in "
                          "workload so clients can register bare")
-    p_serve.add_argument("--seed", type=int, default=0)
     p_serve.add_argument("--duration", type=float, default=None,
                          metavar="SECONDS",
                          help="serve this long, then drain and exit "
@@ -165,10 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="per-client exactly-once reply cache size "
                          "(default 64); retries older than the cache window "
                          "get an explicit evicted error")
-    p_serve.add_argument("--metrics-port", type=int, default=None,
-                         metavar="PORT",
-                         help="serve Prometheus text-format scrapes at "
-                         "GET /metrics on this port (0 = ephemeral)")
     p_serve.add_argument("--coordinator", default=None, metavar="HOST:PORT",
                          help="join a tuning fleet: register this server as "
                          "a shard with the coordinator, renew its lease via "
@@ -182,11 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "service time per wire frame (benchmarking aid: "
                          "makes per-process throughput delay-bound so fleet "
                          "scaling is measurable on one box)")
-    p_serve.add_argument("--max-pending", type=int, default=None, metavar="N",
-                         help="admission control: bound in-flight work to N "
-                         "message units; excess requests are shed with a "
-                         "'busy' error and a retry-after hint (default: "
-                         "unbounded, no admission control)")
     p_serve.add_argument("--max-session-pending", type=int, default=None,
                          metavar="N",
                          help="additionally cap any one session's in-flight "
@@ -225,13 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="fleet state directory: per-shard WALs, the "
                          "coordinator registry WAL, logs, port files "
                          "(default: a temporary directory)")
-    p_fleet.add_argument("--wire", choices=["binary", "json"],
-                         default="binary")
-    p_fleet.add_argument("--tuner", choices=TUNER_NAMES, default="pro")
-    p_fleet.add_argument("--seed", type=int, default=0)
-    p_fleet.add_argument("--k", type=int, default=1)
-    p_fleet.add_argument("--estimator", choices=sorted(_ESTIMATORS),
-                         default="min")
+    _add_service_options(p_fleet)
     p_fleet.add_argument("--lease-s", type=float, default=2.0,
                          help="shard lease duration; heartbeats renew at a "
                          "third of this")
@@ -243,15 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="SHARD",
                          help="demo: SIGKILL this shard midway through the "
                          "sweep and let the fleet re-home its sessions")
-    p_fleet.add_argument("--metrics-port", type=int, default=None,
-                         metavar="PORT",
-                         help="scrapeable coordinator /metrics endpoint")
     p_fleet.add_argument("--baseline-check", action="store_true",
                          help="re-run the sweep on one in-process server "
                          "and verify the fleet matched it bit-identically")
-    p_fleet.add_argument("--max-pending", type=int, default=None, metavar="N",
-                         help="per-shard admission budget (passed through "
-                         "to every shard's --max-pending)")
     p_fleet.add_argument("--rebalance", action="store_true",
                          help="enable proactive load-aware rebalancing: the "
                          "coordinator watches heartbeat load reports and "
@@ -289,8 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="closed: each session blocks on the server "
                         "(concurrency-driven); open: requests arrive on a "
                         "schedule regardless of server speed (rate-driven)")
-    p_load.add_argument("--wire", choices=["binary", "json"],
-                        default="binary")
+    _add_wire_option(p_load)
     p_load.add_argument("--sessions", default="8", metavar="N[,N...]",
                         help="session-count ramp: one load point per "
                         "comma-separated value (default: 8)")
@@ -350,6 +318,37 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--trials", type=int, default=None)
     _add_executor_options(p_fig)
     return parser
+
+
+def _add_service_options(parser: argparse.ArgumentParser) -> None:
+    """Tuner, wire, metrics and admission flags shared by `serve` and
+    `fleet`."""
+    parser.add_argument("--tuner", choices=TUNER_NAMES, default="pro")
+    parser.add_argument("--k", type=int, default=1,
+                        help="samples per candidate (multi-sampling)")
+    parser.add_argument("--estimator", choices=sorted(_ESTIMATORS),
+                        default="min")
+    parser.add_argument("--seed", type=int, default=0)
+    _add_wire_option(parser)
+    parser.add_argument("--metrics-port", type=int, default=None,
+                        metavar="PORT",
+                        help="serve Prometheus text-format scrapes at "
+                        "GET /metrics on this port (0 = ephemeral); a "
+                        "fleet serves its coordinator's")
+    parser.add_argument("--max-pending", type=int, default=None, metavar="N",
+                        help="admission control: bound a server's in-flight "
+                        "work to N message units; excess requests are shed "
+                        "with a 'busy' error and a retry-after hint "
+                        "(default: unbounded, no admission control); a "
+                        "fleet gives every shard this budget")
+
+
+def _add_wire_option(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--wire", choices=["binary", "json"], default="binary",
+                        help="'binary' carries fetch/report groups as binary "
+                        "frames, negotiated at register (a server sniffs "
+                        "JSON lines and binary frames per frame); 'json' "
+                        "uses JSON lines only")
 
 
 def _add_executor_options(parser: argparse.ArgumentParser) -> None:

@@ -606,26 +606,14 @@ def dispatch_frame(server: Any, msg_type: int, seq: int, payload: bytes) -> byte
     from repro.harmony.server import SessionMovedAway
 
     try:
-        if msg_type == MSG_FETCH_MANY:
-            client_id, n, name = decode_fetch_many(payload)
-            session = _lookup_session(server, name)
-            points, tokens = session.fetch_many_arrays(n)
-            observe = getattr(server, "observe_binary", None)
-            if observe is not None:
-                observe("fetch_many", n)
-            return encode_points(seq, tokens, points)
-        if msg_type == MSG_REPORT_MANY:
-            client_id, step, name, tokens, times = decode_report_many(payload)
-            session = _lookup_session(server, name)
-            n_ok, n_stale = session.report_many_arrays(
-                tokens, times, client_id=client_id, step=step
-            )
-            observe = getattr(server, "observe_binary", None)
-            if observe is not None:
-                observe("report_many", tokens.size)
-            return encode_ack(seq, n_ok, n_stale)
-        if msg_type == MSG_FETCH_MANY2:
-            client_id, n, cseq, name = decode_fetch_many2(payload)
+        # A v1 frame is a v2 frame without a cseq (-1 = unstamped).
+        if msg_type in (MSG_FETCH_MANY, MSG_FETCH_MANY2):
+            if msg_type == MSG_FETCH_MANY:
+                # v1 fetches are anonymous: the group charges client -1
+                _client, n, name = decode_fetch_many(payload)
+                client_id, cseq = -1, -1
+            else:
+                client_id, n, cseq, name = decode_fetch_many2(payload)
             session = _lookup_session(server, name)
             points, tokens = session.fetch_many_arrays(
                 n, client_id=client_id, cseq=cseq if cseq >= 0 else None
@@ -634,8 +622,14 @@ def dispatch_frame(server: Any, msg_type: int, seq: int, payload: bytes) -> byte
             if observe is not None:
                 observe("fetch_many", n)
             return encode_points(seq, tokens, points)
-        if msg_type == MSG_REPORT_MANY2:
-            client_id, step, cseq, name, tokens, times = decode_report_many2(payload)
+        if msg_type in (MSG_REPORT_MANY, MSG_REPORT_MANY2):
+            if msg_type == MSG_REPORT_MANY:
+                client_id, step, name, tokens, times = decode_report_many(payload)
+                cseq = -1
+            else:
+                client_id, step, cseq, name, tokens, times = decode_report_many2(
+                    payload
+                )
             session = _lookup_session(server, name)
             n_ok, n_stale = session.report_many_arrays(
                 tokens, times, client_id=client_id, step=step,

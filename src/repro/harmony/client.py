@@ -317,18 +317,26 @@ class TuningClient:
         def send() -> None:
             self._call(dict(message, client_id=self.client_id))
 
-        # Pending until acked: if every retry fails the report stays queued
-        # and is replayed (idempotently) after the next successful reconnect.
-        # A busy shed is different — the server refused the work, so there
-        # is nothing to replay; the caller keeps the token and may retry.
-        self._pending[cseq] = send
+        self._send_report(cseq, send)
+        self._last_token = None
+
+    def _send_report(self, key: int | None, send: Callable[[], Any]) -> None:
+        """Run *send* until acked, queued for replay under its first cseq.
+
+        Pending until acked: if every retry fails the report stays queued
+        and is replayed (idempotently) after the next successful reconnect.
+        A busy shed is different — the server refused the work, so there
+        is nothing to replay; the caller keeps its tokens and may retry.
+        An unstamped report (*key* None) is never replayed.
+        """
+        if key is not None:
+            self._pending[key] = send
         try:
             self._retriable(send)
         except ServerBusy:
-            self._pending.pop(cseq, None)
+            self._pending.pop(key, None)
             raise
-        self._pending.pop(cseq, None)
-        self._last_token = None
+        self._pending.pop(key, None)
 
     # -- the batched protocol ------------------------------------------------------
 
@@ -382,7 +390,7 @@ class TuningClient:
                 if self._binproto_version >= 2 else None
             )
 
-            def send_wire() -> None:
+            def send() -> None:
                 self.transport.report_many_wire(
                     self.session or "",
                     int(self.client_id if self.client_id is not None else -1),
@@ -390,43 +398,25 @@ class TuningClient:
                 )
 
             key = cseqs[0] if cseqs else None
-            if key is not None:
-                self._pending[key] = send_wire
-            try:
-                self._retriable(send_wire)
-            except ServerBusy:
-                if key is not None:
-                    self._pending.pop(key, None)
-                raise
-            if key is not None:
-                self._pending.pop(key, None)
-            self._many_tokens = None
-            return
-        messages = [
-            {
-                "op": "report",
-                "token": token,
-                "time": float(t),
-                "step": int(step),
-                "cseq": self._next_cseq(),
-            }
-            for token, t in zip(self._many_tokens, elapsed)
-        ]
+        else:
+            messages = [
+                {
+                    "op": "report",
+                    "token": token,
+                    "time": float(t),
+                    "step": int(step),
+                    "cseq": self._next_cseq(),
+                }
+                for token, t in zip(self._many_tokens, elapsed)
+            ]
 
-        def send_json() -> None:
-            self._call_many([dict(m, client_id=self.client_id) for m in messages])
+            def send() -> None:
+                self._call_many(
+                    [dict(m, client_id=self.client_id) for m in messages]
+                )
 
-        key = messages[0]["cseq"] if messages else None
-        if key is not None:
-            self._pending[key] = send_json
-        try:
-            self._retriable(send_json)
-        except ServerBusy:
-            if key is not None:
-                self._pending.pop(key, None)
-            raise
-        if key is not None:
-            self._pending.pop(key, None)
+            key = messages[0]["cseq"] if messages else None
+        self._send_report(key, send)
         self._many_tokens = None
 
     # -- queries ----------------------------------------------------------------------

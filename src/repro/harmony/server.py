@@ -311,6 +311,29 @@ class ServerSession:
         self._samples = [[] for _ in batch]
         self._assigned = [0 for _ in batch]
 
+    def _assign(self, n: int) -> list[int]:
+        """Charge *n* assignments; their tokens in order (-1 = incumbent).
+
+        The one assignment rule of both wires: the least-loaded candidate
+        (samples collected + in flight) still short of K, the first on
+        ties; with none left (or the tuner converged) the client exploits
+        the incumbent.  Caller holds the lock.
+        """
+        k = self.plan.k
+        tokens = []
+        for _ in range(n):
+            self._ensure_batch()
+            samples, assigned = self._samples, self._assigned
+            best_idx, best_load = -1, k
+            for i in range(len(samples)):
+                load = len(samples[i]) + assigned[i]
+                if load < best_load:
+                    best_idx, best_load = i, load
+            if best_idx >= 0:
+                assigned[best_idx] += 1
+            tokens.append(best_idx)
+        return tokens
+
     def op_fetch(self, message: Mapping[str, Any]) -> dict[str, Any]:
         """Assign the next configuration (exploration or exploitation).
 
@@ -334,23 +357,11 @@ class ServerSession:
                     f"fetch cseq {cseq} was already applied but its reply "
                     "has been evicted from the cache"
                 )
-            self._ensure_batch()
-            # Least-loaded candidate still short of K total samples
-            # (collected + in flight).
-            best_idx, best_load = -1, None
-            for i in range(len(self._batch)):
-                load = len(self._samples[i]) + self._assigned[i]
-                if load < self.plan.k and (best_load is None or load < best_load):
-                    best_idx, best_load = i, load
-            if best_idx >= 0:
-                self._assigned[best_idx] += 1
-                coords = [float(x) for x in self._batch[best_idx]]
-            else:
-                # Everything in flight or converged: exploit the incumbent.
-                incumbent = np.asarray(self.tuner.best_point, dtype=float)
-                coords = [float(x) for x in incumbent]
-            response = {"ok": True, "point": coords, "token": best_idx}
-            self._record_reply(client_id, cseq, ("fetch", best_idx, tuple(coords)))
+            (token,) = self._assign(1)
+            point = self._batch[token] if token >= 0 else self.tuner.best_point
+            coords = [float(x) for x in point]
+            response = {"ok": True, "point": coords, "token": token}
+            self._record_reply(client_id, cseq, ("fetch", token, tuple(coords)))
             record = {"op": "fetch", "session": self.name}
             if client_id is not None:
                 record["client_id"] = int(client_id)
@@ -387,25 +398,7 @@ class ServerSession:
             if step >= 0:
                 self._log[step, client] = time
             self.n_reports += 1
-            reply = _ACK_REPLY
-            if token >= 0:
-                if token >= len(self._batch):
-                    # A late report for a batch that already completed (e.g.
-                    # after a requeue raced a slow client): the measurement
-                    # is logged above but no longer feeds the tuner.
-                    reply = _STALE_REPLY
-                else:
-                    self._assigned[token] = max(0, self._assigned[token] - 1)
-                    self._samples[token].append(time)
-                    if all(len(s) >= self.plan.k for s in self._samples):
-                        estimates = [
-                            self.plan.combine(np.asarray(s, dtype=float))
-                            for s in self._samples
-                        ]
-                        self.tuner.tell(estimates)
-                        self._batch = []
-                        self._samples = []
-                        self._assigned = []
+            reply = _STALE_REPLY if self._absorb_one(token, time) else _ACK_REPLY
             self._record_reply(client, cseq, reply)
             record = {
                 "op": "report", "session": self.name, "client_id": client,
@@ -424,9 +417,9 @@ class ServerSession:
         """Assign *n* configurations as ``(points, tokens)`` arrays.
 
         The array-native face of :meth:`op_fetch`: one lock acquisition and
-        zero per-message dicts, but the *same* assignment policy executed
-        the same number of times — a binary ``fetch_many`` frame and *n*
-        JSON ``fetch`` messages drive the tuner identically.  ``points`` is
+        zero per-message dicts, but the same :meth:`_assign` rule charged
+        *n* times — a binary ``fetch_many`` frame and *n* JSON ``fetch``
+        messages drive the tuner identically.  ``points`` is
         ``(n, dim)`` float64, ``tokens`` is ``(n,)`` int32 (-1 = incumbent).
         A stamped group (``cseq``) is exactly-once like :meth:`op_fetch`:
         the whole frame dedupes as one unit and a retry gets the original
@@ -446,26 +439,14 @@ class ServerSession:
                     f"fetch_many cseq {cseq} was already applied but its "
                     "reply has been evicted from the cache"
                 )
+            drawn = self._assign(n)
+            # Assignments never complete a batch, so every row reads the
+            # batch it was charged against (or the one incumbent).
+            incumbent = self.tuner.best_point if -1 in drawn else None
             points = np.empty((n, self.space.dimension), dtype=np.float64)
-            tokens = np.empty(n, dtype=np.int32)
-            k = self.plan.k
-            for j in range(n):
-                self._ensure_batch()
-                batch = self._batch
-                samples = self._samples
-                assigned = self._assigned
-                best_idx, best_load = -1, None
-                for i in range(len(batch)):
-                    load = len(samples[i]) + assigned[i]
-                    if load < k and (best_load is None or load < best_load):
-                        best_idx, best_load = i, load
-                if best_idx >= 0:
-                    assigned[best_idx] += 1
-                    points[j] = batch[best_idx]
-                    tokens[j] = best_idx
-                else:
-                    points[j] = np.asarray(self.tuner.best_point, dtype=float)
-                    tokens[j] = -1
+            for j, token in enumerate(drawn):
+                points[j] = self._batch[token] if token >= 0 else incumbent
+            tokens = np.array(drawn, dtype=np.int32)
             self._record_reply(client_id, cseq, ("points", points, tokens))
             record: dict[str, Any] = {
                 "t": "fetchm", "session": self.name,
@@ -489,11 +470,11 @@ class ServerSession:
 
         Validation is vectorized and atomic: an invalid time anywhere in
         the group raises before *any* measurement is absorbed.  Absorption
-        itself replays :meth:`op_report`'s per-measurement logic in order
-        (including mid-group batch completion), so results are identical
-        to the JSON path under paired seeding.  A stamped group (``cseq``)
-        dedupes as one unit: a retried frame is ACKed with the original
-        ``(n_ok, n_stale)`` without absorbing anything twice.
+        (:meth:`_absorb_reports`) is bit-identical to :meth:`_absorb_one`
+        applied in order, mid-group batch completion included, so results
+        are identical to the JSON path under paired seeding.  A stamped
+        group (``cseq``) dedupes as one unit: a retried frame is ACKed with
+        the original ``(n_ok, n_stale)`` without absorbing anything twice.
         """
         with self._lock:
             self._check_moved()
@@ -545,29 +526,39 @@ class ServerSession:
         self._samples = []
         self._assigned = []
 
+    def _absorb_one(self, token: int, t: float) -> bool:
+        """Apply one measurement to the ledger; True when it is stale.
+
+        The one absorption rule of both wires.  An incumbent token (-1)
+        feeds nothing; a token past the batch is a late report for a batch
+        that already completed (e.g. after a requeue raced a slow client).
+        The sample that brings every candidate to K completes the batch.
+        Caller holds the lock.
+        """
+        if token < 0:
+            return False
+        if token >= len(self._batch):
+            return True
+        self._assigned[token] = max(0, self._assigned[token] - 1)
+        self._samples[token].append(t)
+        if all(len(s) >= self.plan.k for s in self._samples):
+            self._tell_batch()
+        return False
+
     def _absorb_reports_scalar(
         self, tokens: np.ndarray, times: np.ndarray
     ) -> int:
-        """Reference absorption: op_report's per-measurement logic, in order.
+        """Reference absorption: :meth:`_absorb_one` per measurement, in order.
 
         Kept as the semantic spec for :meth:`_absorb_reports` — the
         equivalence tests and the ``report_replay`` microbench drive both
         against identical session states and require identical results.
         Caller holds the lock and has already validated the arrays.
         """
-        n_stale = 0
-        k = self.plan.k
-        for token, t in zip(tokens.tolist(), times.tolist()):
-            if token < 0:
-                continue
-            if token >= len(self._batch):
-                n_stale += 1
-                continue
-            self._assigned[token] = max(0, self._assigned[token] - 1)
-            self._samples[token].append(t)
-            if all(len(s) >= k for s in self._samples):
-                self._tell_batch()
-        return n_stale
+        return sum(
+            self._absorb_one(token, t)
+            for token, t in zip(tokens.tolist(), times.tolist())
+        )
 
     def _absorb_reports(self, tokens: np.ndarray, times: np.ndarray) -> int:
         """Vectorized absorption, bit-identical to the scalar reference.
@@ -757,12 +748,25 @@ class ServerSession:
         return ["ack", int(reply[1]), int(reply[2])]
 
     def _deserialize_reply(self, entry: list) -> Any:
+        """The live cache form of a :meth:`_serialize_reply` entry."""
         kind = entry[0]
         if kind == "resp":
-            return ("resp", dict(entry[1]))
+            body = entry[1]
+            if "point" in body:
+                return (
+                    "fetch", int(body["token"]),
+                    tuple(float(x) for x in body["point"]),
+                )
+            for shared in (_ACK_REPLY, _STALE_REPLY):
+                if body == shared[1]:
+                    return shared
+            return ("resp", dict(body))
         if kind == "points":
-            points = [np.asarray(p, dtype=float) for p in entry[1]]
-            return ("points", points, [int(t) for t in entry[2]])
+            return (
+                "points",
+                np.asarray(entry[1], dtype=np.float64),
+                np.asarray(entry[2], dtype=np.int32),
+            )
         return ("ack", int(entry[1]), int(entry[2]))
 
     def can_snapshot(self) -> bool:

@@ -335,6 +335,25 @@ class _BinaryWireOps:
     def request_frame(self, frame: bytes) -> tuple:  # pragma: no cover - abstract
         raise NotImplementedError
 
+    @staticmethod
+    def _check_frame(resp: tuple, expected: str, op: str) -> tuple:
+        """*resp* if it is the *expected* reply to *op*; raise otherwise.
+
+        A busy shed raises :class:`protocol.ServerBusy`, a migrated session
+        :class:`protocol.SessionMoved`, and an ERROR frame (or any other
+        reply) a :class:`RuntimeError`.
+        """
+        kind = resp[0]
+        if kind == expected:
+            return resp
+        if kind == "busy":
+            raise protocol.ServerBusy(retry_after=resp[1])
+        if kind == "moved":
+            raise protocol.SessionMoved(resp[1])
+        if kind == "error":
+            raise RuntimeError(f"tuning server error: {resp[1]}")
+        raise RuntimeError(f"unexpected {kind} response to {op}")
+
     def fetch_many_wire(
         self,
         session: str,
@@ -364,16 +383,9 @@ class _BinaryWireOps:
         points_parts: list[np.ndarray] = []
         tokens_parts: list[np.ndarray] = []
         for resp in self._request_frames(builders):
-            if resp[0] == "busy":
-                raise protocol.ServerBusy(retry_after=resp[1])
-            if resp[0] == "moved":
-                raise protocol.SessionMoved(resp[1])
-            if resp[0] == "error":
-                raise RuntimeError(f"tuning server error: {resp[1]}")
-            if resp[0] != "points":
-                raise RuntimeError(f"unexpected {resp[0]} response to fetch_many")
-            tokens_parts.append(resp[1])
-            points_parts.append(resp[2])
+            _, tokens, points = self._check_frame(resp, "points", "fetch_many")
+            tokens_parts.append(tokens)
+            points_parts.append(points)
         if len(points_parts) == 1:
             return points_parts[0], tokens_parts[0]
         return np.concatenate(points_parts), np.concatenate(tokens_parts)
@@ -407,16 +419,9 @@ class _BinaryWireOps:
             )
         n_ok = n_stale = 0
         for resp in self._request_frames(builders):
-            if resp[0] == "busy":
-                raise protocol.ServerBusy(retry_after=resp[1])
-            if resp[0] == "moved":
-                raise protocol.SessionMoved(resp[1])
-            if resp[0] == "error":
-                raise RuntimeError(f"tuning server error: {resp[1]}")
-            if resp[0] != "ack":
-                raise RuntimeError(f"unexpected {resp[0]} response to report_many")
-            n_ok += resp[1]
-            n_stale += resp[2]
+            _, ok, stale = self._check_frame(resp, "ack", "report_many")
+            n_ok += ok
+            n_stale += stale
         return n_ok, n_stale
 
 
@@ -550,38 +555,27 @@ class PipelinedTcpClientTransport(_BinaryWireOps, Transport):
 
     def submit(self, message: Mapping[str, Any]) -> "Future[dict[str, Any]]":
         """Send *message* now; the returned future resolves to its response."""
-        if self._closed:
-            raise ConnectionError("transport closed")
-        seq = next(self._seq)
-        tagged = dict(message)
-        tagged["seq"] = seq
-        future: Future = Future()
-        self._inflight.acquire()
-        with self._pending_lock:
-            self._pending[seq] = future
-        try:
-            payload = protocol.encode_line(tagged)
-            with self._write_lock:
-                self._sock.sendall(payload)
-        except OSError as exc:
-            with self._pending_lock:
-                removed = self._pending.pop(seq, None)
-            if removed is not None:
-                self._inflight.release()
-            raise ConnectionError(f"send failed: {exc}") from exc
-        return future
+        return self.submit_frame(
+            lambda seq: protocol.encode_line(dict(message, seq=seq))
+        )
 
-    def submit_frame(self, build: Any) -> "Future[tuple]":
-        """Send one binary frame built by ``build(seq)``; returns its future."""
+    def submit_frame(self, build: Any) -> "Future[Any]":
+        """Send one frame built by ``build(seq)``; returns its future.
+
+        The frame is a binary frame or a JSON line carrying ``seq``; the
+        future resolves to the decoded response tuple or dict.
+        """
         if self._closed:
             raise ConnectionError("transport closed")
         seq = next(self._seq)
+        # Built before a slot is taken: a message that fails to encode
+        # must not leave an in-flight slot that no response will free.
+        frame = build(seq)
         future: Future = Future()
         self._inflight.acquire()
         with self._pending_lock:
             self._pending[seq] = future
         try:
-            frame = build(seq)
             with self._write_lock:
                 self._sock.sendall(frame)
         except OSError as exc:

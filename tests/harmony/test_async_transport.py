@@ -85,6 +85,20 @@ class TestAsyncRoundTrips:
                     client.report_many([objective(c) for c in configs], step=step)
         assert server.n_reports == 60
 
+    def test_unencodable_message_frees_its_inflight_slot(self):
+        with AsyncTcpServerTransport(make_server(), port=0) as tcp:
+            with PipelinedTcpClientTransport(
+                "127.0.0.1", tcp.port, timeout=10, max_inflight=2
+            ) as transport:
+                for _ in range(3):
+                    with pytest.raises(TypeError):
+                        transport.submit({"op": "status", "bad": object()})
+                assert transport._pending == {}
+                # Both slots are still free: this would block forever if a
+                # failed encode had kept one.
+                futures = [transport.submit({"op": "status"}) for _ in range(2)]
+                assert all(f.result(timeout=10)["ok"] for f in futures)
+
     def test_double_start_rejected(self):
         tcp = AsyncTcpServerTransport(make_server(), port=0)
         tcp.start()

@@ -370,3 +370,120 @@ class TestWireParity:
             for e in bin_trace
         )
         assert not any(e.get("wire") == "binary" for e in json_trace)
+
+
+class _JsonOps:
+    """One-message JSON ops on a session (``op_fetch`` / ``op_report``)."""
+
+    def __init__(self, session):
+        self.session = session
+
+    def fetch(self, client, cseq):
+        response = self.session.op_fetch({"client_id": client, "cseq": cseq})
+        assert response["ok"], response
+        return response["point"], response["token"]
+
+    def report(self, client, token, t, step, cseq):
+        message = {"client_id": client, "token": token, "time": t, "step": step}
+        if cseq is not None:
+            message["cseq"] = cseq
+        response = self.session.op_report(message)
+        assert response["ok"], response
+        return int(bool(response.get("stale")))
+
+
+class _ArrayOps:
+    """The same ops through the array core, one element at a time."""
+
+    def __init__(self, session):
+        self.session = session
+
+    def fetch(self, client, cseq):
+        points, tokens = self.session.fetch_many_arrays(
+            1, client_id=client, cseq=cseq
+        )
+        return points[0].tolist(), int(tokens[0])
+
+    def report(self, client, token, t, step, cseq):
+        _, n_stale = self.session.report_many_arrays(
+            np.array([token], dtype=np.int32), np.array([t]),
+            client_id=client, step=step, cseq=cseq,
+        )
+        return n_stale
+
+
+class TestSessionWireParity:
+    """Both wires share one assignment rule and one absorption rule, so one
+    script driven through ``op_fetch``/``op_report`` and through
+    ``fetch_many_arrays(1)``/one-element ``report_many_arrays`` must leave
+    paired sessions in the same state — with K = 2, requeues that make
+    later reports stale, incumbent (-1) reports, and unstamped re-reports
+    of an already-logged ``(step, client)`` cell."""
+
+    CLIENTS = 3
+    STEPS = 60
+
+    def _drive(self, ops):
+        session = ops.session
+        for _ in range(self.CLIENTS):
+            assert session.op_register({})["ok"]
+        rng = np.random.default_rng(7)
+        cseqs = [0] * self.CLIENTS
+
+        def stamp(client):
+            cseqs[client] += 1
+            return cseqs[client] - 1
+
+        trace, n_stale, n_incumbent = [], 0, 0
+        for step in range(self.STEPS):
+            held = [ops.fetch(c, stamp(c)) for c in range(self.CLIENTS)]
+            if step % 3 == 1:
+                # The in-flight samples are handed out again; the helpers'
+                # reports land first, so the holders' reports may be stale.
+                session.op_requeue()
+                helpers = [ops.fetch(c, stamp(c)) for c in range(self.CLIENTS)]
+                for c, (point, token) in enumerate(helpers):
+                    t = objective(point) + rng.uniform(0.0, 0.1)
+                    n_stale += ops.report(c, token, t, step, stamp(c))
+                trace.extend(helpers)
+            trace.extend(held)
+            for c in rng.permutation(self.CLIENTS).tolist():
+                point, token = held[c]
+                n_incumbent += token < 0
+                t = objective(point) + rng.uniform(0.0, 0.1)
+                n_stale += ops.report(c, token, t, step, stamp(c))
+            if step % 4 == 3:
+                point, token = held[0]
+                n_stale += ops.report(0, token, objective(point), step, None)
+        return trace, n_stale, n_incumbent
+
+    @staticmethod
+    def _state_without_caches(session):
+        state = session.state_dict()
+        for client in state["clients"].values():
+            del client["cache"]
+        return state
+
+    def test_json_ops_and_array_core_agree(self):
+        json_session, array_session = (
+            TuningServer(
+                lambda s: ParallelRankOrdering(s), space=make_space(),
+                plan=SamplingPlan(2),
+            ).default_session
+            for _ in range(2)
+        )
+        json_trace, json_stale, json_incumbent = self._drive(
+            _JsonOps(json_session)
+        )
+        array_trace, array_stale, array_incumbent = self._drive(
+            _ArrayOps(array_session)
+        )
+        assert json_trace == array_trace
+        assert json_stale == array_stale
+        assert json_incumbent == array_incumbent
+        # the script must exercise what it claims to cover
+        assert json_stale > 0 and json_incumbent > 0
+        assert json_session.op_best() == array_session.op_best()
+        assert self._state_without_caches(json_session) == (
+            self._state_without_caches(array_session)
+        )

@@ -1,9 +1,13 @@
 """The configurable exactly-once reply cache (``reply_cache_size``)."""
 
+import json
+
+import numpy as np
 import pytest
 
 from repro.experiments.common import tuner_factory
 from repro.fleet.launch import bench_space
+from repro.harmony import server as server_module
 from repro.harmony.client import TuningClient
 from repro.harmony.server import TuningServer
 from repro.harmony.transport import InProcessTransport
@@ -115,3 +119,59 @@ class TestEvictionSemantics:
             "session": "moved",
         })
         assert retry["ok"]
+
+
+class TestRestoredCacheForms:
+    """A restored session answers retries exactly like the live one did:
+    its reply cache comes back in the live forms, not the JSON ones."""
+
+    def _restore(self, route):
+        server = make_server()
+        client = register_client(server)
+        cid = client.client_id
+        session = server.default_session
+        fetched = server.handle({"op": "fetch", "client_id": cid, "cseq": 0})
+        server.handle({
+            "op": "report", "client_id": cid, "token": fetched["token"],
+            "time": 1.0, "step": 0, "cseq": 1,
+        })
+        points, tokens = session.fetch_many_arrays(3, client_id=cid, cseq=2)
+        state = json.loads(json.dumps(session.state_dict()))
+        other = make_server()
+        if route == "restore_state":
+            other.restore_state({"default": state})
+        else:
+            assert other.handle({
+                "op": "adopt_session", "session": "default", "state": state,
+            })["ok"]
+        restored = other.default_session
+        return cid, fetched, points, tokens, state, restored
+
+    @pytest.mark.parametrize("route", ["restore_state", "adopt_session"])
+    def test_retried_fetches_after_restore(self, route):
+        cid, fetched, points, tokens, _, restored = self._restore(route)
+        retry_points, retry_tokens = restored.fetch_many_arrays(
+            3, client_id=cid, cseq=2
+        )
+        assert isinstance(retry_points, np.ndarray)
+        assert retry_points.dtype == np.float64 and retry_points.shape == (3, 2)
+        assert retry_tokens.dtype == np.int32 and retry_tokens.shape == (3,)
+        assert np.array_equal(retry_points, points)
+        assert np.array_equal(retry_tokens, tokens)
+        retry = restored.op_fetch({"client_id": cid, "cseq": 0})
+        assert retry == fetched
+
+    @pytest.mark.parametrize("route", ["restore_state", "adopt_session"])
+    def test_cache_entries_take_the_live_forms(self, route):
+        cid, fetched, _, _, state, restored = self._restore(route)
+        cache = restored._clients[cid]["cache"]
+        assert cache[0] == (
+            "fetch", fetched["token"], tuple(fetched["point"])
+        )
+        assert cache[1] is server_module._ACK_REPLY
+        kind, points, tokens = cache[2]
+        assert kind == "points"
+        assert isinstance(points, np.ndarray) and points.dtype == np.float64
+        assert isinstance(tokens, np.ndarray) and tokens.dtype == np.int32
+        # and the snapshot they serialize to is byte-for-byte the original
+        assert json.dumps(restored.state_dict()) == json.dumps(state)
