@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro._util import as_generator, spawn_generators
+from repro._util import as_generator, check_nonnegative, spawn_generators
 from repro.cluster.machine import PriorityMachine
 from repro.cluster.trace import ClusterTrace
 from repro.cluster.workload import WorkloadSource
@@ -63,6 +63,9 @@ class Cluster:
                 raise ValueError("speed factors must be positive")
         self._private_sources = tuple(private_sources)
         self._shared_sources = tuple(shared_sources)
+        # every trace's meta names the sources; render them once
+        self._private_reprs = [repr(s) for s in self._private_sources]
+        self._shared_reprs = [repr(s) for s in self._shared_sources]
         master = as_generator(seed)
         # One child stream per node, plus one entropy draw for the shared
         # sequences.  Each shared source gets its own SeedSequence child
@@ -100,20 +103,6 @@ class Cluster:
         """Idle throughput of one node (all nodes are identically loaded)."""
         return self.nodes[0].rho
 
-    @staticmethod
-    def _cost_fn(costs: CostSpec, n_nodes: int) -> Callable[[int, int], float]:
-        if callable(costs):
-            return costs
-        if np.isscalar(costs):
-            c = float(costs)  # type: ignore[arg-type]
-            return lambda p, k: c
-        arr = np.asarray(costs, dtype=float)
-        if arr.shape != (n_nodes,):
-            raise ValueError(
-                f"per-node cost array must have shape ({n_nodes},), got {arr.shape}"
-            )
-        return lambda p, k: float(arr[p])
-
     def run(self, costs: CostSpec, n_iterations: int) -> ClusterTrace:
         """Run *n_iterations* barrier-synchronized iterations.
 
@@ -126,14 +115,22 @@ class Cluster:
         costs:
             Noise-free per-iteration application work: a scalar (SPMD, all
             nodes equal), a per-node array, or ``cost(p, k)``.
+
+        Every iteration's work is priced and checked before any node moves,
+        so a NaN or negative cost raises with the cluster untouched.
         """
         if n_iterations < 1:
             raise ValueError(f"need at least one iteration, got {n_iterations}")
-        # Static cost specs (scalar / per-node array) are iteration-invariant:
-        # precompute the per-node work vector once instead of paying a
-        # cost(p, k) call per node per iteration.
-        static_works: np.ndarray | None = None
-        if not callable(costs):
+        if callable(costs):
+            # one row per iteration, priced in run order
+            works = np.array(
+                [[costs(p, k) for p in range(self.n_nodes)]
+                 for k in range(n_iterations)],
+                dtype=float,
+            )
+        else:
+            # Static cost specs (scalar / per-node array) are
+            # iteration-invariant: one row serves every iteration.
             arr = np.asarray(costs, dtype=float)
             if arr.ndim == 0:
                 arr = np.full(self.n_nodes, float(arr))
@@ -142,29 +139,23 @@ class Cluster:
                     f"per-node cost array must have shape ({self.n_nodes},), "
                     f"got {arr.shape}"
                 )
-            # Slower nodes (speed < 1) take proportionally longer for the
-            # same application work — heterogeneity makes Eq. 1's max
-            # barrier bite even without noise.
-            static_works = arr / self.speed_factors
-        cost = self._cost_fn(costs, self.n_nodes) if static_works is None else None
+            works = arr[np.newaxis, :]
+        # Slower nodes (speed < 1) take proportionally longer for the same
+        # application work — heterogeneity makes Eq. 1's max barrier bite
+        # even without noise.
+        works = works / self.speed_factors
+        bad = ~(np.isfinite(works) & (works >= 0.0))
+        if bad.any():
+            # the message serve_application gives for the first bad work
+            check_nonnegative("work", float(works.flat[int(np.argmax(bad))]))
         times = np.empty((self.n_nodes, n_iterations), dtype=float)
         barriers = np.empty(n_iterations, dtype=float)
         finishes = np.empty(self.n_nodes, dtype=float)
         barrier = self.barrier
         for k in range(n_iterations):
-            if static_works is None:
-                works = (
-                    np.fromiter(
-                        (cost(p, k) for p in range(self.n_nodes)),
-                        dtype=float,
-                        count=self.n_nodes,
-                    )
-                    / self.speed_factors
-                )
-            else:
-                works = static_works
+            row = works[k % len(works)]  # a static spec has one row for all
             for p, node in enumerate(self.nodes):
-                finishes[p] = node.serve_application(works[p])
+                finishes[p] = node.serve_application(row[p])
             times[:, k] = finishes - barrier
             barrier = float(finishes.max())
             barriers[k] = barrier
@@ -177,7 +168,7 @@ class Cluster:
             rho=self.rho,
             meta={
                 "n_nodes": self.n_nodes,
-                "private_sources": [repr(s) for s in self._private_sources],
-                "shared_sources": [repr(s) for s in self._shared_sources],
+                "private_sources": list(self._private_reprs),
+                "shared_sources": list(self._shared_reprs),
             },
         )

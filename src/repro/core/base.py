@@ -25,6 +25,7 @@ Contract:
 from __future__ import annotations
 
 import enum
+import math
 from abc import ABC, abstractmethod
 from typing import Sequence
 
@@ -67,10 +68,12 @@ class BatchTuner(ABC):
             )
         if self.converged:
             return []
-        batch = [np.asarray(p, dtype=float).copy() for p in self._ask()]
+        # The tuner is not called again before tell(), so the pending batch
+        # may share _ask()'s arrays; the caller gets the one copy.
+        batch = [np.asarray(p, dtype=float) for p in self._ask()]
         if batch:
             ok = self.space.contains_batch(batch)
-            if not np.all(ok):
+            if not ok.all():
                 bad = batch[int(np.argmax(~ok))]
                 raise RuntimeError(
                     f"tuner proposed inadmissible point {bad!r} — projection bug"
@@ -89,7 +92,7 @@ class BatchTuner(ABC):
             raise ValueError(
                 f"expected {len(self._pending)} values, got {len(vals)}"
             )
-        if not all(np.isfinite(v) for v in vals):
+        if not all(math.isfinite(v) for v in vals):
             raise ValueError(f"estimates must be finite, got {vals}")
         batch = self._pending
         self._pending = None

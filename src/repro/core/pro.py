@@ -182,13 +182,15 @@ class ParallelRankOrdering(BatchTuner):
             for pts in self._candidate_simplexes.values():
                 for p in pts:
                     seen.setdefault(tuple(p), p)
-            return [p.copy() for p in seen.values()]
+            return list(seen.values())
         if self.phase is ProPhase.INIT:
-            return [p.copy() for p in self._initial_points]
+            return list(self._initial_points)
         if self.phase is ProPhase.REFLECT:
             assert self.simplex is not None
             v0 = self.simplex.best.point
-            self._moving = [v.copy() for v in self.simplex.vertices[1:]]
+            # Vertices are never mutated in place, so the moving set can
+            # share the simplex's vertex objects.
+            self._moving = self.simplex.vertices[1:]
             return list(self.space.project_batch(reflect(v0, self._moving_matrix()), v0))
         if self.phase is ProPhase.EXPAND_CHECK:
             assert self.simplex is not None
@@ -211,7 +213,7 @@ class ParallelRankOrdering(BatchTuner):
                 self.phase = ProPhase.DONE
                 self._mark_converged("no_neighbours")
                 return []
-            return [p.copy() for p in self._probe_batch]
+            return list(self._probe_batch)
         if self.phase is ProPhase.DONE:
             return []
         raise AssertionError(f"unhandled phase {self.phase}")  # pragma: no cover
@@ -260,14 +262,16 @@ class ParallelRankOrdering(BatchTuner):
         assert self.simplex is not None
         if self.phase is ProPhase.REFLECT:
             self._reflections = [Vertex(p, v) for p, v in zip(batch, values)]
-            vals = np.asarray(values, dtype=float)
-            self._best_reflection_idx = int(np.argmin(vals))
+            # the first minimum, as np.argmin picks it (values are finite)
+            self._best_reflection_idx = min(
+                range(len(values)), key=values.__getitem__
+            )
             threshold = (
                 self.simplex.worst.value
                 if self.greedy_acceptance
                 else self.simplex.best.value
             )
-            if vals[self._best_reflection_idx] < threshold:
+            if values[self._best_reflection_idx] < threshold:
                 self.phase = (
                     ProPhase.EXPAND if self.eager_expansion else ProPhase.EXPAND_CHECK
                 )
@@ -324,7 +328,7 @@ class ParallelRankOrdering(BatchTuner):
                 self.phase = ProPhase.DONE
                 self._mark_converged("local_minimum")
                 return
-            restart = [self.simplex.best.copy()] + [
+            restart = [self.simplex.best] + [
                 Vertex(p, v) for p, v in zip(batch, values)
             ]
             self.simplex = Simplex(restart)
@@ -433,7 +437,7 @@ class ParallelRankOrdering(BatchTuner):
     def _after_update(self) -> None:
         assert self.simplex is not None
         self.n_iterations += 1
-        if self._probe.simplex_collapsed(self.simplex.points()):
+        if self._probe.simplex_collapsed([v.point for v in self.simplex.vertices]):
             self.phase = ProPhase.PROBE
         else:
             self.phase = ProPhase.REFLECT

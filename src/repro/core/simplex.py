@@ -21,6 +21,7 @@ the prose.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,15 +73,15 @@ class Vertex:
     value: float
 
     def __post_init__(self) -> None:
-        self.point = np.asarray(self.point, dtype=float).copy()
+        self.point = np.array(self.point, dtype=float)  # the vertex's own copy
         self.value = float(self.value)
         if self.point.ndim != 1:
             raise ValueError(f"vertex point must be 1-D, got shape {self.point.shape}")
-        if not np.isfinite(self.value):
+        if not math.isfinite(self.value):
             raise ValueError(f"vertex value must be finite, got {self.value}")
 
     def copy(self) -> "Vertex":
-        return Vertex(self.point.copy(), self.value)
+        return Vertex(self.point, self.value)
 
 
 @dataclass
@@ -166,12 +167,16 @@ class Simplex:
         return [shrink(v0, v.point) for v in self.vertices[1:]]
 
     def replace_moving(self, new_vertices: list[Vertex]) -> None:
-        """Replace v1..vn with *new_vertices*, keep v0, and reorder."""
+        """Replace v1..vn with *new_vertices*, keep v0, and reorder.
+
+        The simplex takes the vertex objects themselves, not copies: callers
+        hand over freshly built vertices and do not mutate them afterwards.
+        """
         if len(new_vertices) != self.n_moving:
             raise ValueError(
                 f"expected {self.n_moving} replacement vertices, got {len(new_vertices)}"
             )
-        self.vertices = [self.best] + [v.copy() for v in new_vertices]
+        self.vertices = [self.best, *new_vertices]
         self.order()
 
     def copy(self) -> "Simplex":

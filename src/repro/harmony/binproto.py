@@ -64,6 +64,7 @@ from typing import Any, Iterable
 import numpy as np
 
 from repro.harmony import protocol
+from repro.harmony.server import DEFAULT_SESSION, SessionMovedAway
 
 __all__ = [
     "BINPROTO_VERSION",
@@ -499,8 +500,6 @@ def peek_load(msg_type: int, payload: bytes) -> tuple[int, str | None]:
         return 1, None
     if not 1 <= n <= protocol.MAX_BATCH_MSGS:
         return 1, None
-    from repro.harmony.server import DEFAULT_SESSION
-
     return int(n), session or DEFAULT_SESSION
 
 
@@ -578,8 +577,6 @@ class FrameSplitter:
 
 def _lookup_session(server: Any, name: str):
     """Resolve a session the way the dict protocol does (empty = default)."""
-    from repro.harmony.server import DEFAULT_SESSION, SessionMovedAway
-
     resolved = name or DEFAULT_SESSION
     session = server.session(resolved)
     if session is None:
@@ -603,8 +600,6 @@ def dispatch_frame(server: Any, msg_type: int, seq: int, payload: bytes) -> byte
     session exported by live migration answers with a MOVED frame instead,
     so clients re-resolve rather than surface an error.
     """
-    from repro.harmony.server import SessionMovedAway
-
     try:
         # A v1 frame is a v2 frame without a cseq (-1 = unstamped).
         if msg_type in (MSG_FETCH_MANY, MSG_FETCH_MANY2):

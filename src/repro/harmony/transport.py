@@ -36,7 +36,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from repro.harmony import binproto, protocol
-from repro.harmony.server import TuningServer
+from repro.harmony.server import DEFAULT_SESSION, TuningServer
 
 __all__ = [
     "Transport",
@@ -77,8 +77,6 @@ def prepare_items(
     global budget only).  JSON lines are decoded exactly once, here, so
     admission planning does not double-parse the hot path.
     """
-    from repro.harmony.server import DEFAULT_SESSION
-
     prepared: list[tuple] = []
     for item in items:
         kind = item[0]
@@ -528,7 +526,14 @@ class PipelinedTcpClientTransport(_BinaryWireOps, Transport):
         splitter = binproto.FrameSplitter()
         try:
             while True:
-                chunk = self._sock.recv(65536)
+                try:
+                    chunk = self._sock.recv(65536)
+                except socket.timeout:
+                    # The socket's timeout bounds sends; for the reader it
+                    # only means the connection was idle that long.
+                    if self._closed:
+                        raise
+                    continue
                 if not chunk:
                     error = ConnectionError("server closed the connection")
                     break

@@ -173,6 +173,9 @@ class WalWriter:
         self._lock = threading.Lock()
         self._fh: Any = None
         self._closed = False
+        #: a record was appended since the last fsync or flush (guarded by
+        #: the lock): commit() has nothing to make durable while this is False
+        self._dirty = False
         #: records appended / commits fsynced / snapshots written (metrics)
         self.n_appends = 0
         self.n_commits = 0
@@ -208,6 +211,7 @@ class WalWriter:
     def _fsync(self) -> None:
         self._fh.flush()
         os.fsync(self._fh.fileno())
+        self._dirty = False
 
     # -- the append path ----------------------------------------------------------
 
@@ -227,6 +231,7 @@ class WalWriter:
                 self._fh.flush()
                 self._die()
             self._fh.write(frame)
+            self._dirty = True
             self.n_appends += 1
             self.bytes_written += len(frame)
             self.bytes_since_snapshot += len(frame)
@@ -250,12 +255,15 @@ class WalWriter:
         Transports call this once per received chunk before writing any
         response back, so an ACK always implies the operation is in the
         log (``sync="off"``: in the OS page cache; otherwise: on disk).
+        With nothing appended since the last fsync or flush — a read-only
+        chunk, or a retry answered from the reply cache — it does nothing.
         """
         with self._lock:
-            if self._closed or self._fh is None:
+            if self._closed or self._fh is None or not self._dirty:
                 return
             if self.sync == "off":
                 self._fh.flush()
+                self._dirty = False
                 return
             if self.sync == "batch":
                 self._fsync()

@@ -171,3 +171,42 @@ class TestSuccessiveRuns:
         steps = [c.run(2.0, 1).iteration_maxima()[0] for _ in range(5)]
         assert steps == [2.0] * 5
         assert c.barrier == 10.0
+
+
+class TestRejectedCostsLeaveTheClusterUntouched:
+    """A bad cost raises before any node serves: no node runs ahead of the
+    barrier, so the next run starts from the same state."""
+
+    def make(self):
+        return Cluster(
+            4,
+            private_sources=[PoissonArrivals(0.2, ExponentialService(0.5))],
+            seed=5,
+        )
+
+    @staticmethod
+    def state(cluster):
+        return [
+            (n.clock, n.backlog, n.p1_service_done) for n in cluster.nodes
+        ], cluster.barrier
+
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0, float("inf")])
+    def test_bad_callable_cost_raises_before_any_node_moves(self, bad):
+        cluster = self.make()
+        cluster.run(2.0, 3)
+        before = self.state(cluster)
+        with pytest.raises(ValueError, match="work must be a finite non-negative"):
+            cluster.run(lambda p, k: bad if (p, k) == (2, 1) else 2.0, 2)
+        assert self.state(cluster) == before
+        # the next run continues exactly as if the rejected one never ran
+        reference = self.make()
+        reference.run(2.0, 3)
+        assert np.array_equal(cluster.run(2.0, 2).times, reference.run(2.0, 2).times)
+
+    def test_bad_static_cost_raises_before_any_node_moves(self):
+        cluster = self.make()
+        cluster.run(2.0, 1)
+        before = self.state(cluster)
+        with pytest.raises(ValueError, match="got nan"):
+            cluster.run([2.0, 2.0, float("nan"), 2.0], 1)
+        assert self.state(cluster) == before

@@ -4,6 +4,7 @@ import contextlib
 import json
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -84,6 +85,18 @@ class TestAsyncRoundTrips:
                     configs = client.fetch_many(2)
                     client.report_many([objective(c) for c in configs], step=step)
         assert server.n_reports == 60
+
+    def test_pipelined_client_survives_idle_time(self):
+        """The socket timeout bounds sends, not silence: a connection left
+        idle for longer than ``timeout`` still answers the next request."""
+        with AsyncTcpServerTransport(make_server(), port=0) as tcp:
+            with PipelinedTcpClientTransport(
+                "127.0.0.1", tcp.port, timeout=0.3
+            ) as transport:
+                assert transport.request({"op": "status"})["ok"]
+                time.sleep(0.6)
+                assert transport._reader.is_alive()
+                assert transport.request({"op": "status"})["ok"]
 
     def test_unencodable_message_frees_its_inflight_slot(self):
         with AsyncTcpServerTransport(make_server(), port=0) as tcp:

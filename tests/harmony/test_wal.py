@@ -344,6 +344,89 @@ class TestAckImpliesDurable:
                     assert len(acked) == step + 1
         server.close_wal()
 
+    def test_read_only_round_trip_commits_nothing(self, tmp_path):
+        """A chunk that appended nothing (here a ``best`` query after a
+        committed report) costs no fsync."""
+        from repro.harmony.transport import TcpClientTransport
+
+        server = TuningServer(factory, plan=SamplingPlan(1))
+        wal = WalWriter(tmp_path, sync="batch")
+        server.attach_wal(wal)
+        with AsyncTcpServerTransport(server, port=0) as transport:
+            with TcpClientTransport("127.0.0.1", transport.port) as conn:
+                client = TuningClient(conn, nonce="c0")
+                client.register(make_space())
+                client.report(cost(client.fetch()), step=0)
+                committed = wal.n_commits
+                assert committed > 0
+                client.best()
+                assert wal.n_commits == committed
+                client.report(cost(client.fetch()), step=1)
+                assert wal.n_commits > committed
+        server.close_wal()
+
+    @pytest.mark.parametrize(
+        "sync,fsyncs", [("batch", 1), ("always", 1), ("off", 0)]
+    )
+    def test_commit_without_appends_is_a_no_op(
+        self, tmp_path, monkeypatch, sync, fsyncs
+    ):
+        import repro.harmony.wal as wal_module
+
+        calls = []
+        real_fsync = wal_module.os.fsync
+
+        def counting_fsync(fd):
+            calls.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(wal_module.os, "fsync", counting_fsync)
+        wal = WalWriter(tmp_path, sync=sync)
+        wal.append({"t": "op", "m": {"op": "requeue", "session": "default"}})
+        for _ in range(3):
+            wal.commit()
+        assert len(calls) == fsyncs
+        assert wal.n_commits == fsyncs
+        _, ops, _ = replay_dir(tmp_path)
+        assert len(ops) == 1
+        wal.close()
+
+    def test_concurrent_commits_never_skip_a_pending_append(self, tmp_path):
+        """Stress for the clean/dirty flag: six threads (more than the
+        cores) append and commit with a short switch interval; after each
+        commit returns, the thread's own record must already be in the
+        file.  A commit that wrongly saw the log clean would leave the
+        record in the userspace buffer, invisible here."""
+        import sys
+        import threading
+
+        wal = WalWriter(tmp_path, sync="batch")
+        segment = tmp_path / "wal-00000000.log"
+        missing = []
+
+        def worker(w):
+            for i in range(60):
+                record = {"t": "op", "m": {"op": "requeue", "w": w, "i": i}}
+                wal.append(record)
+                wal.commit()
+                if encode_record(record) not in segment.read_bytes():
+                    missing.append((w, i))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(w,)) for w in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert missing == []
+        assert wal.n_appends == 360
+        wal.close()
+
     def test_async_stop_flushes_pending_appends(self, tmp_path):
         server = durable_server(tmp_path, sync="off")
         with AsyncTcpServerTransport(server, port=0):
