@@ -8,68 +8,34 @@ the max over n·K heavy-tailed draws, so parallel K-sampling carries an
 order-statistics premium — small, but not zero.
 """
 
-import numpy as np
-
-from repro._util import as_generator
-from repro.core.pro import ParallelRankOrdering
-from repro.core.sampling import MinEstimator, SamplingPlan
 from repro.experiments._fmt import format_table
-from repro.experiments.common import gs2_problem
-from repro.harmony.session import TuningSession
-from repro.variability.models import ParetoNoise
-
-
-def run_discipline_study(trials: int, budget: int = 200, rho: float = 0.3, seed: int = 29):
-    master = as_generator(seed)
-    surrogate, db = gs2_problem(rng=master)
-    space = surrogate.space()
-    noise = ParetoNoise(rho=rho)
-    trial_seeds = [int(s) for s in master.integers(0, 2**63 - 1, size=trials)]
-    configs = [
-        ("K=1", 1, False),
-        ("K=5 sequential", 5, False),
-        ("K=5 parallel", 5, True),
-        ("K=10 parallel", 10, True),
-    ]
-    rows, ntt = [], {}
-    finals = {}
-    for name, k, parallel in configs:
-        ntts = np.empty(trials)
-        fin = np.empty(trials)
-        for t in range(trials):
-            tuner = ParallelRankOrdering(space)
-            result = TuningSession(
-                tuner, db, noise=noise, budget=budget, n_processors=64,
-                plan=SamplingPlan(k, MinEstimator()),
-                parallel_sampling=parallel, rng=trial_seeds[t],
-            ).run()
-            ntts[t] = result.normalized_total_time()
-            fin[t] = result.best_true_cost
-        ntt[name] = float(ntts.mean())
-        finals[name] = float(fin.mean())
-        rows.append([name, float(ntts.mean()), float(ntts.std()), float(fin.mean())])
-    return rows, ntt, finals
+from repro.experiments.ablations import run_parallel_sampling_study
 
 
 def test_ablation_parallel_sampling(benchmark, report, scale):
     trials = 40 if scale == "full" else 15
-    rows, ntt, finals = benchmark.pedantic(
-        lambda: run_discipline_study(trials), rounds=1, iterations=1
+    table = benchmark.pedantic(
+        lambda: run_parallel_sampling_study(
+            trials=trials, budget=200, rho=0.3, rng=29
+        ),
+        rounds=1,
+        iterations=1,
     )
-    premium = ntt["K=10 parallel"] / ntt["K=1"] - 1.0
+    premium = table.ntt_of("K=10 parallel") / table.ntt_of("K=1") - 1.0
     report(
         "ablation_parallel_sampling",
         format_table(
-            ["sampling plan", "mean NTT", "std NTT", "mean final cost"], rows
+            ["sampling plan", "mean NTT", "std NTT", "mean final cost"],
+            table.rows(),
         )
         + f"\n\nbarrier-max premium of K=10 parallel vs K=1: {premium:+.1%}"
         + "\n(the cost the paper's 'no additional cost' claim glosses over)",
     )
     # --- shape claims -------------------------------------------------------------
     # Parallel K=5 strictly dominates sequential K=5 on the online metric.
-    assert ntt["K=5 parallel"] < ntt["K=5 sequential"]
+    assert table.ntt_of("K=5 parallel") < table.ntt_of("K=5 sequential")
     # Multi-sampling improves final configurations in both disciplines.
-    assert finals["K=5 parallel"] < finals["K=1"]
-    assert finals["K=10 parallel"] < finals["K=1"]
+    assert table.final_cost_of("K=5 parallel") < table.final_cost_of("K=1")
+    assert table.final_cost_of("K=10 parallel") < table.final_cost_of("K=1")
     # The parallel premium is bounded (well under the sequential 5x cost).
-    assert ntt["K=10 parallel"] < ntt["K=1"] * 1.4
+    assert table.ntt_of("K=10 parallel") < table.ntt_of("K=1") * 1.4

@@ -6,76 +6,28 @@ the cold-started PRO on Total_Time, and stale/partial histories must not be
 catastrophic.
 """
 
-import numpy as np
-
-from repro._util import as_generator
-from repro.apps.database import PerformanceDatabase
-from repro.core.pro import ParallelRankOrdering
-from repro.core.sampling import MinEstimator, SamplingPlan
 from repro.experiments._fmt import format_table
-from repro.experiments.common import gs2_problem
-from repro.harmony.session import TuningSession
-from repro.harmony.warmstart import warm_started_pro
-from repro.variability.models import ParetoNoise
-
-
-def run_warmstart_study(trials: int, budget: int = 120, rho: float = 0.1, seed: int = 31):
-    master = as_generator(seed)
-    surrogate, db = gs2_problem(rng=master)
-    space = surrogate.space()
-    noise = ParetoNoise(rho=rho)
-    # Prior-run histories of varying quality.
-    rich_prior = PerformanceDatabase.from_function(
-        surrogate, space, fraction=0.3, rng=master.spawn(1)[0]
-    )
-    sparse_prior = PerformanceDatabase.from_function(
-        surrogate, space, fraction=0.005, rng=master.spawn(1)[0]
-    )
-    # A *stale* history: measurements from a machine with different comm
-    # behaviour (the optimum has moved).
-    from repro.apps.gs2 import GS2Surrogate
-
-    old_machine = GS2Surrogate(comm_scale=8e-3, comm_exponent=1.2)
-    stale_prior = PerformanceDatabase.from_function(
-        old_machine, space, fraction=0.3, rng=master.spawn(1)[0]
-    )
-    trial_seeds = [int(s) for s in master.integers(0, 2**63 - 1, size=trials)]
-    configs = {
-        "cold start": lambda: ParallelRankOrdering(space),
-        "warm (rich prior)": lambda: warm_started_pro(space, rich_prior),
-        "warm (sparse prior)": lambda: warm_started_pro(space, sparse_prior),
-        "warm (stale prior)": lambda: warm_started_pro(space, stale_prior),
-    }
-    rows, ntt = [], {}
-    for name, build in configs.items():
-        ntts = np.empty(trials)
-        finals = np.empty(trials)
-        for t in range(trials):
-            result = TuningSession(
-                build(), db, noise=noise, budget=budget,
-                plan=SamplingPlan(1, MinEstimator()), rng=trial_seeds[t],
-            ).run()
-            ntts[t] = result.normalized_total_time()
-            finals[t] = result.best_true_cost
-        ntt[name] = float(ntts.mean())
-        rows.append([name, float(ntts.mean()), float(ntts.std()), float(finals.mean())])
-    return rows, ntt
+from repro.experiments.ablations import run_warmstart_study
 
 
 def test_ablation_warmstart(benchmark, report, scale):
     trials = 40 if scale == "full" else 15
-    rows, ntt = benchmark.pedantic(
-        lambda: run_warmstart_study(trials), rounds=1, iterations=1
+    table = benchmark.pedantic(
+        lambda: run_warmstart_study(trials=trials, budget=120, rho=0.1, rng=31),
+        rounds=1,
+        iterations=1,
     )
     report(
         "ablation_warmstart",
         format_table(
-            ["initialization", "mean NTT", "std NTT", "mean final cost"], rows
+            ["initialization", "mean NTT", "std NTT", "mean final cost"],
+            table.rows(),
         ),
     )
     # --- shape claims -------------------------------------------------------------
-    assert ntt["warm (rich prior)"] < ntt["cold start"]
+    cold = table.ntt_of("cold start")
+    assert table.ntt_of("warm (rich prior)") < cold
     # Even a handful of prior measurements helps (or at worst is neutral).
-    assert ntt["warm (sparse prior)"] < ntt["cold start"] * 1.05
+    assert table.ntt_of("warm (sparse prior)") < cold * 1.05
     # A stale history must degrade gracefully, not catastrophically.
-    assert ntt["warm (stale prior)"] < ntt["cold start"] * 1.5
+    assert table.ntt_of("warm (stale prior)") < cold * 1.5

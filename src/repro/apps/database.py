@@ -403,7 +403,7 @@ class PerformanceDatabase:
             try:
                 pts, vals = self._arrays()
                 specs = (broadcast.export_array(pts), broadcast.export_array(vals))
-            except OSError:  # pragma: no cover - /dev/shm unavailable
+            except OSError:  # /dev/shm unavailable or full
                 specs = None
             if specs is not None:
                 state["_shm_specs"] = specs

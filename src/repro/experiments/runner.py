@@ -33,6 +33,7 @@ from repro._util import as_generator
 from repro.experiments.parallel import (
     FAILURE_POLICIES,
     Executor,
+    SerialExecutor,
     SweepTask,
     TrialFailure,
     TrialOutcome,
@@ -204,13 +205,13 @@ def run_sweep(
         observe results in deterministic (cell-major, trial-minor) order,
         whatever the executor; failed trials are skipped.
     executor:
-        ``"serial"`` (default), ``"thread"``, ``"process"``, or a
-        pre-configured :class:`~repro.experiments.parallel.Executor`.  The
-        master RNG draws the trial-seed vector once up front either way, so
-        every executor produces a bit-identical :class:`SweepResult` for
-        the same ``rng``.  Process execution requires picklable factories.
+        ``"serial"`` (default), ``"process"``, or a pre-configured
+        :class:`~repro.experiments.parallel.Executor`.  The master RNG
+        draws the trial-seed vector once up front either way, so every
+        executor produces a bit-identical :class:`SweepResult` for the
+        same ``rng``.  Process execution requires picklable factories.
     jobs:
-        Worker count for pool executors (default: all CPUs).
+        Worker count for the process executor (default: all CPUs).
     failure_policy:
         ``"raise"`` (default) aborts on the first failed trial — the
         historical behavior; ``"skip"`` drops failed trials from the
@@ -232,11 +233,10 @@ def run_sweep(
         Optional object exposing ``cache_stats() -> dict[str, int]`` (e.g.
         the :class:`~repro.apps.database.PerformanceDatabase` the cells
         share): the sweep snapshots it before and after and reports the
-        counter deltas under ``SweepResult.meta["db_cache"]``.  Off by
-        default because the numbers are executor-dependent diagnostics,
-        not results: process workers mutate *copies* of the database, so
-        their hits never reach the parent's counters — use the serial or
-        thread executor when cache observability matters.
+        counter deltas under ``SweepResult.meta["db_cache"]``.  Serial
+        executor only (any other raises ``ValueError``): process workers
+        query their own *copies* of the database, so their hits never
+        reach the parent's counters.
     trace:
         Optional path for a JSONL trace of the whole sweep.  Every worker
         records typed events (trial lifecycle, session steps, tuner
@@ -265,6 +265,11 @@ def run_sweep(
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate cell names: {names}")
     exec_ = make_executor(executor, jobs)
+    if cache_stats is not None and not isinstance(exec_, SerialExecutor):
+        raise ValueError(
+            "cache_stats needs the serial executor: process workers query "
+            f"their own copies of the database, got executor {exec_.name!r}"
+        )
     master = as_generator(rng)
     trial_seeds = [int(s) for s in master.integers(0, 2**63 - 1, size=trials)]
     keep_results = collect is not None

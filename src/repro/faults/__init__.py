@@ -10,7 +10,7 @@ and in experiments — with bit-identical replays:
   decision is a pure function of ``(plan seed, cell, trial, attempt)``
   driven by a spawned :class:`numpy.random.SeedSequence`, so injection
   composes with paired seeding, is independent of execution order, and
-  replays identically across serial/thread/process executors;
+  replays identically on the serial and process executors;
 * :class:`FaultyEvaluator` — evaluator-layer injection: wraps any
   substrate and misbehaves on schedule (NaN / negative / mis-shaped
   observations, inconsistent barriers, raised exceptions, slowdowns);

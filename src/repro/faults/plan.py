@@ -7,8 +7,8 @@ the schedule
 
 * **deterministic** — the same plan seed always yields the same faults;
 * **order-independent** — the decision for one task never consumes
-  entropy another task observes, so serial and pool executors (and any
-  completion order) see identical schedules;
+  entropy another task observes, so the serial and process executors
+  (and any completion order) see identical schedules;
 * **retry-aware** — the attempt index is part of the key, and attempts
   at or beyond ``max_faulty_attempts`` are always clean, so a bounded
   retry loop is guaranteed to converge on an injected (as opposed to

@@ -30,9 +30,9 @@ _QUANTILES = (0.5, 0.9, 0.99)
 class MetricsRegistry:
     """Counters, gauges, and sample-backed histograms behind one lock.
 
-    The lock is uncontended in practice — the sweep runner records from the
+    The lock is uncontended in the sweep runner — it records from the
     parent only, at trial granularity — but makes the registry safe to
-    share with ``collect`` hooks running under a thread executor.
+    share between threads, e.g. a server and its Prometheus endpoint.
 
     ``max_samples=None`` (the default) keeps every observed sample;
     a positive cap keeps only the most recent *max_samples* per histogram

@@ -151,8 +151,9 @@ class Tracer:
     def scope(self, **scope) -> Iterator[None]:
         """Attach identity fields (cell/trial/attempt/src) to nested emits.
 
-        Scopes are thread-local, so concurrent trials on a thread pool each
-        see their own identity; nesting merges (inner keys win).
+        Scopes are thread-local, so a timed-out trial still running on its
+        abandoned watchdog thread never stamps its identity on the next
+        trial's events; nesting merges (inner keys win).
         """
         previous = getattr(self._tls, "scope", None)
         merged = dict(previous) if previous else {}
@@ -236,11 +237,11 @@ def worker_tracer(spec: dict) -> Tracer:
 
     *spec* is the JSON-safe descriptor a :class:`SweepTask` carries:
     ``{"dir": <shard directory>}``.  Every executor funnels through here, so
-    serial, thread, and process workers share one code path.  In the sweep
-    runner's own process the cache is pre-seeded with the parent tracer
-    (see :func:`_adopt_worker_tracer`), so serial and thread trials append
-    to its in-memory buffers directly; only genuine worker processes — whose
-    cache starts empty — pay for JSONL shards.
+    serial and process workers share one code path.  In the sweep runner's
+    own process the cache is pre-seeded with the parent tracer (see
+    :func:`_adopt_worker_tracer`), so serial trials append to its in-memory
+    buffers directly; only genuine worker processes — whose cache starts
+    empty — pay for JSONL shards.
     """
     key = spec["dir"]
     entry = _worker_tracers.get(key)
@@ -254,12 +255,12 @@ def worker_tracer(spec: dict) -> Tracer:
 def _adopt_worker_tracer(spec: dict, tracer: Tracer) -> None:
     """Pre-seed this process's worker-tracer cache with the parent tracer.
 
-    Trials that run in the parent process (serial and thread executors)
-    then skip the shard-file round trip: their events land in the parent's
-    per-thread buffers and come back through ``drain()``.  The entry is
-    pid-stamped, so a forked pool worker builds its own shard tracer
-    instead of inheriting this one (whose buffers the parent would never
-    see).
+    Trials that run in the parent process (the serial executor, including
+    its timeout watchdog threads) then skip the shard-file round trip: their
+    events land in the parent's per-thread buffers and come back through
+    ``drain()``.  The entry is pid-stamped, so a forked pool worker builds
+    its own shard tracer instead of inheriting this one (whose buffers the
+    parent would never see).
     """
     _worker_tracers[spec["dir"]] = (os.getpid(), tracer)
 

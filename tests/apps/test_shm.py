@@ -115,7 +115,7 @@ class TestSegmentReleaseOnWorkerDeath:
             )
             for i in range(2)
         ]
-        gen = ProcessExecutor(2, chunksize=1).map_tasks(tasks)
+        gen = ProcessExecutor(2).map_tasks(tasks)
         try:
             _, result = next(gen)
             assert isinstance(result, TrialFailure)
@@ -139,7 +139,7 @@ class TestSegmentReleaseOnWorkerDeath:
         with pytest.raises(BrokenExecutor):
             run_sweep(
                 [("kill", cell)], trials=2, rng=0,
-                executor=ProcessExecutor(2, chunksize=1),
+                executor=ProcessExecutor(2),
                 failure_policy="raise",
             )
         assert len(specs) == 2

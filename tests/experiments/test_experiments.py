@@ -10,7 +10,9 @@ import pytest
 from repro.experiments.ablations import (
     run_adaptive_k_study,
     run_estimator_comparison,
+    run_parallel_sampling_study,
     run_variant_comparison,
+    run_warmstart_study,
 )
 from repro.experiments.fig01_metrics import run_metric_comparison
 from repro.experiments.fig02_geometry import run_geometry_demo
@@ -144,3 +146,44 @@ class TestAblations:
         tables = run_adaptive_k_study(trials=2, budget=50, rho_values=(0.0, 0.2), rng=1)
         assert set(tables) == {0.0, 0.2}
         assert "adaptive" in tables[0.0].row_names
+
+    def test_parallel_sampling_tiny(self):
+        table = run_parallel_sampling_study(trials=2, budget=60, rng=1)
+        assert table.row_names == (
+            "K=1", "K=5 sequential", "K=5 parallel", "K=10 parallel"
+        )
+
+    def test_warmstart_tiny(self):
+        table = run_warmstart_study(trials=2, budget=60, rng=1)
+        assert table.row_names[0] == "cold start"
+        assert len(table.row_names) == 4
+
+
+def _ablation_tables(runner, **kwargs):
+    """Every AblationTable a runner returns, in a fixed order."""
+    out = runner(trials=2, rng=3, **kwargs)
+    return list(out.values()) if isinstance(out, dict) else [out]
+
+
+class TestAblationsOnProcessPool:
+    """Every ablation cell pickles, and the pool changes no number."""
+
+    @pytest.mark.parametrize(
+        "runner",
+        [
+            run_variant_comparison,
+            run_estimator_comparison,
+            run_adaptive_k_study,
+            run_parallel_sampling_study,
+            run_warmstart_study,
+        ],
+        ids=lambda runner: runner.__name__,
+    )
+    def test_process_pool_equals_serial(self, runner):
+        serial = _ablation_tables(runner, budget=40)
+        pooled = _ablation_tables(runner, budget=40, executor="process", jobs=2)
+        assert len(pooled) == len(serial)
+        for want, got in zip(serial, pooled):
+            assert got.row_names == want.row_names
+            for name in ("mean_ntt", "std_ntt", "mean_final_cost"):
+                assert (getattr(got, name) == getattr(want, name)).all(), name

@@ -19,9 +19,9 @@ from repro.experiments.parallel import (
     ProcessExecutor,
     SerialExecutor,
     SweepTask,
-    ThreadExecutor,
     TrialFailure,
     TrialOutcome,
+    _run_chunk,
     execute_ordered,
 )
 from repro.experiments.runner import run_sweep
@@ -61,12 +61,11 @@ class TestChunkFaultIsolation:
 
     def test_failed_task_leaves_chunk_siblings_intact(self):
         tasks = _tasks(5)
-        # Only task 2 carries a certain-crash plan; with chunksize=5 the
-        # whole batch ships as ONE pool chunk.
+        # Only task 2 carries a certain-crash plan; the whole batch runs as
+        # ONE chunk through the pool worker's entry point.
         tasks[2] = replace(tasks[2], faults=FaultPlan(seed=0, crash=1.0))
-        results: list[object] = [None] * len(tasks)
-        for i, result in ThreadExecutor(2, chunksize=5).map_tasks(tasks):
-            results[i] = result
+        results = _run_chunk(tasks)
+        assert len(results) == len(tasks)
         assert isinstance(results[2], TrialFailure)
         assert results[2].kind == "error"
         assert results[2].error_type == "InjectedFault"
@@ -186,13 +185,12 @@ class TestBitIdenticalRecovery:
         }
         assert kinds - {None}, "MIXED_PLAN is a no-op on this grid; reseed it"
 
-    @pytest.mark.parametrize("executor,jobs", [("thread", 2), ("process", 2)])
-    def test_faulted_retry_sweep_matches_serial(self, executor, jobs):
+    def test_faulted_retry_sweep_matches_serial(self):
         kwargs = dict(
             trials=3, rng=123, faults=MIXED_PLAN, failure_policy="retry"
         )
         serial = run_sweep(CELLS, **kwargs)
-        parallel = run_sweep(CELLS, executor=executor, jobs=jobs, **kwargs)
+        parallel = run_sweep(CELLS, executor="process", jobs=2, **kwargs)
         assert json.dumps(parallel.to_dict(), sort_keys=True) == json.dumps(
             serial.to_dict(), sort_keys=True
         )
@@ -275,7 +273,7 @@ class TestWorkerLoss:
         ]
         result = run_sweep(
             cells, trials=2, rng=5,
-            executor=ProcessExecutor(2, chunksize=2),
+            executor=ProcessExecutor(2),
             failure_policy="retry", retries=2,
         )
         clean = run_sweep(CELLS, trials=2, rng=5)

@@ -1,6 +1,6 @@
 """Executor equivalence and scheduling tests for the parallel sweep engine.
 
-The contract under test: serial, thread, and process executors produce a
+The contract under test: the serial and process executors produce a
 bit-identical :class:`SweepResult` for the same master seed, and ``collect``
 hooks observe results in deterministic (cell-major, trial-minor) order
 whatever the executor.
@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import _shm
 from repro.apps.database import SHM_MIN_ENTRIES, PerformanceDatabase
 from repro.core.pro import ParallelRankOrdering
 from repro.core.sampling import SamplingPlan
@@ -23,7 +24,6 @@ from repro.experiments.parallel import (
     ProcessExecutor,
     SerialExecutor,
     SweepTask,
-    ThreadExecutor,
     _resolve_factory,
     _strip_factories,
     _worker_init,
@@ -65,6 +65,11 @@ class QuadCell:
 CELLS = [("k1", QuadCell(k=1)), ("k2", QuadCell(k=2)), ("k3", QuadCell(k=3))]
 
 
+def not_a_session(seed: int) -> str:
+    """A broken (but picklable) factory: returns no TuningSession."""
+    return "not a session"
+
+
 class TrialAwareCell:
     """Records (seed, trial) call order; offsets the budget by trial."""
 
@@ -89,7 +94,7 @@ class TestExecutorEquivalence:
     def serial_result(self):
         return self._run("serial")
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("executor", ["process"])
     def test_bit_identical_to_serial(self, serial_result, executor):
         parallel = self._run(executor, jobs=2)
         assert parallel.trial_seeds == serial_result.trial_seeds
@@ -97,10 +102,10 @@ class TestExecutorEquivalence:
         assert parallel.to_dict() == serial_result.to_dict()
 
     def test_executor_instance_accepted(self, serial_result):
-        result = self._run(ThreadExecutor(2, chunksize=1))
+        result = self._run(ProcessExecutor(2))
         assert result.cells == serial_result.cells
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_collect_order_deterministic(self, executor):
         seen: list[float] = []
         self._run(executor, jobs=2, collect=lambda r: seen.append(r.total_time()))
@@ -109,11 +114,13 @@ class TestExecutorEquivalence:
         assert seen == reference
         assert len(seen) == len(CELLS) * 4
 
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_bad_factory_raises_typeerror(self, executor):
-        with pytest.raises(TypeError):
+        # Two trials, so the process pool really runs them in its workers
+        # and the TypeError crosses back to the parent.
+        with pytest.raises(TypeError, match="must return a TuningSession"):
             run_sweep(
-                {"bad": lambda seed: "not a session"}, trials=1,
+                {"bad": not_a_session}, trials=2,
                 executor=executor,
                 jobs=2 if executor != "serial" else None,
             )
@@ -135,7 +142,7 @@ class TestTrialAwareFactories:
 class TestFaultedExecutorEquivalence:
     """Property: executor choice never changes a faulted sweep's result.
 
-    For any fault plan and any recovering policy, serial/thread/process
+    For any fault plan and any recovering policy, serial and process
     sweeps of the same master seed serialize to the same ``to_dict()``
     (compared as canonical JSON — NaN aggregates from all-failed cells
     would defeat plain dict equality).
@@ -157,59 +164,30 @@ class TestFaultedExecutorEquivalence:
         reference = json.dumps(
             run_sweep(cells, **kwargs).to_dict(), sort_keys=True
         )
-        for executor in ("thread", "process"):
-            parallel = run_sweep(cells, executor=executor, jobs=2, **kwargs)
-            assert (
-                json.dumps(parallel.to_dict(), sort_keys=True) == reference
-            ), f"{executor} sweep diverged from serial under {policy}"
-
-    def test_legacy_and_noshm_paths_match_serial_under_faults(self):
-        plan = FaultPlan(seed=5, crash=0.3, nan=0.2)
-        cells = [("k1", QuadCell(k=1, budget=12)), ("k2", QuadCell(k=2, budget=12))]
-        kwargs = dict(trials=3, rng=77, faults=plan, failure_policy="retry")
-        reference = json.dumps(run_sweep(cells, **kwargs).to_dict(), sort_keys=True)
-        for executor in (
-            ProcessExecutor(2, persistent=False),
-            ProcessExecutor(2, shared_memory=False),
-            ThreadExecutor(2, persistent=False),
-        ):
-            parallel = run_sweep(cells, executor=executor, **kwargs)
-            assert json.dumps(parallel.to_dict(), sort_keys=True) == reference
+        parallel = run_sweep(cells, executor="process", jobs=2, **kwargs)
+        assert (
+            json.dumps(parallel.to_dict(), sort_keys=True) == reference
+        ), f"process sweep diverged from serial under {policy}"
 
 
 class TestWorkerPersistentState:
-    """The initializer path ships lean tasks and stays bit-identical.
-
-    Every pool variant — worker-persistent with and without the
-    shared-memory broadcast, plus the legacy ship-the-factory path kept
-    for comparison — must reproduce the serial sweep exactly.
-    """
+    """The initializer path ships lean tasks and stays bit-identical."""
 
     CELLS2 = [("k1", QuadCell(k=1, budget=12)), ("k2", QuadCell(k=2, budget=12))]
 
-    @pytest.fixture(scope="class")
-    def serial_ref(self):
-        return run_sweep(self.CELLS2, trials=3, rng=31).to_dict()
-
     @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: ProcessExecutor(2),
-            lambda: ProcessExecutor(2, shared_memory=False),
-            lambda: ProcessExecutor(2, persistent=False),
-            lambda: ThreadExecutor(2),
-            lambda: ThreadExecutor(2, persistent=False),
-        ],
-        ids=["proc-shm", "proc-noshm", "proc-legacy", "thread", "thread-legacy"],
+        "trials",
+        # 2 cells x 3 trials = 6 tasks < 2 jobs x 4: one task per chunk;
+        # 2 x 8 = 16 tasks: chunks of two, so workers run chunk siblings.
+        [3, 8],
+        ids=["unit-chunks", "multi-task-chunks"],
     )
-    def test_every_pool_variant_is_bit_identical(self, serial_ref, make):
-        result = run_sweep(self.CELLS2, trials=3, rng=31, executor=make())
-        assert result.to_dict() == serial_ref
-
-    def test_thread_registry_cleaned_up_after_sweep(self):
-        before = dict(_WORKER_REGISTRY)
-        run_sweep(self.CELLS2, trials=2, rng=5, executor=ThreadExecutor(2))
-        assert _WORKER_REGISTRY == before
+    def test_every_pool_variant_is_bit_identical(self, trials):
+        reference = run_sweep(self.CELLS2, trials=trials, rng=31).to_dict()
+        result = run_sweep(
+            self.CELLS2, trials=trials, rng=31, executor=ProcessExecutor(2)
+        )
+        assert result.to_dict() == reference
 
     def test_strip_factories_dedups_shared_factory(self):
         factory = QuadCell(budget=12)
@@ -219,8 +197,8 @@ class TestWorkerPersistentState:
                 cell_index=0, cell_name="c", trial_index=i, seed=i, factory=factory
             )
 
-        lean, registry = _strip_factories([task(0), task(1)], lambda n: f"k{n}")
-        assert len(registry) == 1
+        lean, registry = _strip_factories([task(0), task(1)])
+        assert list(registry) == ["cell-0"]
         assert all(t.factory is None for t in lean)
         assert lean[0].factory_key == lean[1].factory_key
         assert registry[lean[0].factory_key] is factory
@@ -266,25 +244,46 @@ class DatabaseCell:
 
 
 class TestSharedMemorySweep:
-    def test_database_sweep_identical_across_broadcast_modes(self):
+    def test_database_sweep_identical_across_broadcast_modes(self, monkeypatch):
+        """Shared-memory export and its inline-pickle fallback agree.
+
+        The fallback is the ``OSError`` branch of
+        ``PerformanceDatabase.__getstate__`` (a full or missing
+        ``/dev/shm``).  Here the points array takes a segment and the
+        values array's export fails, so the fallback also has to leave the
+        orphaned segment to the broadcast's cleanup.
+        """
         db = PerformanceDatabase.from_function(db_cost, DB_SPACE)
         assert len(db) >= SHM_MIN_ENTRIES  # large enough to take the shm path
         cells = [("db", DatabaseCell(db))]
         reference = run_sweep(cells, trials=3, rng=17).to_dict()
-        for executor in (
-            ProcessExecutor(2),
-            ProcessExecutor(2, shared_memory=False),
-        ):
-            parallel = run_sweep(cells, trials=3, rng=17, executor=executor)
-            assert parallel.to_dict() == reference
+        shared = run_sweep(cells, trials=3, rng=17, executor=ProcessExecutor(2))
+        assert shared.to_dict() == reference
+
+        exported: list[dict] = []
+        real_export = _shm.ShmBroadcast.export_array
+
+        def export_then_fail(self, arr):
+            if exported:
+                raise OSError(28, "No space left on device")
+            exported.append(real_export(self, arr))
+            return exported[-1]
+
+        monkeypatch.setattr(_shm.ShmBroadcast, "export_array", export_then_fail)
+        inline = run_sweep(cells, trials=3, rng=17, executor=ProcessExecutor(2))
+        assert inline.to_dict() == reference
+        assert len(exported) == 1, "the fallback path was never taken"
+        with pytest.raises(FileNotFoundError):
+            _shm.attach_array(exported[0])
 
 
 class TestMakeExecutor:
     def test_names(self):
-        assert EXECUTOR_NAMES == ("serial", "thread", "process")
+        assert EXECUTOR_NAMES == ("serial", "process")
         assert isinstance(make_executor("serial"), SerialExecutor)
-        assert isinstance(make_executor("thread", 3), ThreadExecutor)
         assert isinstance(make_executor("process", 3), ProcessExecutor)
+        with pytest.raises(ValueError, match="unknown executor"):
+            make_executor("thread", 2)
 
     def test_unknown_spec_rejected(self):
         with pytest.raises(ValueError):
@@ -297,13 +296,11 @@ class TestMakeExecutor:
 
     def test_instance_rejects_jobs(self):
         with pytest.raises(ValueError):
-            make_executor(ThreadExecutor(2), jobs=4)
+            make_executor(ProcessExecutor(2), jobs=4)
 
     def test_pool_rejects_bad_jobs(self):
         with pytest.raises(ValueError):
-            ThreadExecutor(0)
-        with pytest.raises(ValueError):
-            ProcessExecutor(2, chunksize=0)
+            ProcessExecutor(0)
 
 
 class TestChunking:
@@ -311,9 +308,6 @@ class TestChunking:
         chunks = chunk_tasks(10, 3)
         flat = [i for chunk in chunks for i in chunk]
         assert flat == list(range(10))
-
-    def test_explicit_chunksize(self):
-        assert [len(c) for c in chunk_tasks(10, 2, chunksize=4)] == [4, 4, 2]
 
     def test_default_targets_four_chunks_per_worker(self):
         chunks = chunk_tasks(64, 2)
@@ -331,6 +325,4 @@ class TestChunking:
             chunk_tasks(-1, 2)
         with pytest.raises(ValueError):
             chunk_tasks(4, 0)
-        with pytest.raises(ValueError):
-            chunk_tasks(4, 2, chunksize=0)
         assert chunk_tasks(0, 2) == []

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.pro import ParallelRankOrdering
 from repro.core.sampling import SamplingPlan
+from repro.experiments.parallel import ProcessExecutor
 from repro.experiments.runner import run_sweep
 from repro.harmony.session import TuningSession
 from repro.variability import ParetoNoise
@@ -166,3 +167,16 @@ class TestCacheStatsMeta:
     def test_rejects_object_without_cache_stats(self, quad3):
         with pytest.raises(TypeError):
             run_sweep({"c": make_cell(quad3, 1)}, trials=1, cache_stats=object())
+
+    @pytest.mark.parametrize(
+        "executor,jobs", [("process", 2), ("process", None), (ProcessExecutor(1), None)]
+    )
+    def test_rejects_non_serial_executor(self, executor, jobs):
+        # Process workers count queries on their own copies of the
+        # database, so the parent's counters would read zero.
+        db = self._make_db()
+        with pytest.raises(ValueError, match="serial executor"):
+            run_sweep(
+                {"db": self._db_cell(db)}, trials=2, rng=11, cache_stats=db,
+                executor=executor, jobs=jobs,
+            )
