@@ -469,7 +469,7 @@ def _db_session(db, space, seed, batched) -> TuningSession:
         noise=ParetoNoise(rho=0.2),
         budget=60,
         plan=SamplingPlan(5),
-        batched_eval=None if batched else False,
+        batched_eval=batched,
         rng=seed,
     )
 

@@ -172,6 +172,24 @@ def _run_cells(
     )
 
 
+def _split(table: AblationTable, metas: dict, rows: list[str]) -> dict:
+    """Cut a table run as ``label/row`` cells, label-major with the same
+    *rows* under every label, into one table per label of *metas*, each
+    with that label's entries added to its meta."""
+    n = len(rows)
+    return {
+        label: AblationTable(
+            row_names=tuple(rows),
+            mean_ntt=table.mean_ntt[i * n : (i + 1) * n],
+            std_ntt=table.std_ntt[i * n : (i + 1) * n],
+            mean_final_cost=table.mean_final_cost[i * n : (i + 1) * n],
+            trials=table.trials,
+            meta={**table.meta, **meta},
+        )
+        for i, (label, meta) in enumerate(metas.items())
+    }
+
+
 def run_variant_comparison(
     *,
     trials: int = 30,
@@ -222,33 +240,34 @@ def run_estimator_comparison(
 
     The §5.1 prediction: under heavy tails the min operator dominates the
     mean; under light (finite-variance) noise the gap closes or reverses.
+    All four tables run as one sweep, so they share the database, the pool
+    and the trial seeds.
     """
     from repro.variability.models import ExponentialNoise, TruncatedParetoNoise
 
     estimators: list[Estimator] = [MinEstimator(), MeanEstimator(), MedianEstimator()]
-    out: dict[str, AblationTable] = {}
-    for label, noise in (
-        ("pareto", ParetoNoise(rho=rho)),
+    noises = {
+        "pareto": ParetoNoise(rho=rho),
         # cap low enough to actually bind (a genuinely light-tailed control;
         # a high cap would almost never trigger and replay the Pareto rows).
-        ("truncated-pareto", TruncatedParetoNoise(rho=rho, cap_factor=0.5)),
-        ("exponential", ExponentialNoise(rho=rho)),
-        ("gaussian", GaussianNoise(rho=rho)),
-    ):
-        configs = [
-            (
-                est.name,
-                {"tuner": "pro", "noise": noise, "plan": SamplingPlan(k, est)},
-            )
-            for est in estimators
-        ]
-        table = _run_cells(
-            configs, trials=trials, budget=budget, rng=rng,
-            executor=executor, jobs=jobs,
+        "truncated-pareto": TruncatedParetoNoise(rho=rho, cap_factor=0.5),
+        "exponential": ExponentialNoise(rho=rho),
+        "gaussian": GaussianNoise(rho=rho),
+    }
+    configs = [
+        (
+            f"{label}/{est.name}",
+            {"tuner": "pro", "noise": noise, "plan": SamplingPlan(k, est)},
         )
-        table.meta.update({"noise": label, "rho": rho, "k": k})
-        out[label] = table
-    return out
+        for label, noise in noises.items()
+        for est in estimators
+    ]
+    table = _run_cells(
+        configs, trials=trials, budget=budget, rng=rng,
+        executor=executor, jobs=jobs,
+    )
+    metas = {label: {"noise": label, "rho": rho, "k": k} for label in noises}
+    return _split(table, metas, [est.name for est in estimators])
 
 
 def run_adaptive_k_study(
@@ -263,35 +282,36 @@ def run_adaptive_k_study(
     """Adaptive-K controller vs fixed K ∈ {1, 3, 5}, across noise levels.
 
     A good adaptive controller should track the best fixed K for each ρ
-    without knowing ρ — small K when quiet, larger K when noisy.
+    without knowing ρ — small K when quiet, larger K when noisy.  Every ρ's
+    table runs in one sweep, as in :func:`run_estimator_comparison`.
     """
-    out: dict[float, AblationTable] = {}
+    plans: list[tuple[str, dict]] = [
+        (f"fixed K={k}", {"plan": SamplingPlan(k)}) for k in (1, 3, 5)
+    ]
+    plans.append(
+        (
+            "adaptive",
+            {
+                "plan": SamplingPlan(1),
+                "controller": partial(
+                    AdaptiveSamplingController, k_initial=1, k_max=6
+                ),
+            },
+        )
+    )
+    configs = []
     for rho in rho_values:
         noise: NoiseModel | None = ParetoNoise(rho=rho) if rho > 0 else None
-        configs: list[tuple[str, dict]] = [
-            (f"fixed K={k}", {"tuner": "pro", "noise": noise, "plan": SamplingPlan(k)})
-            for k in (1, 3, 5)
+        configs += [
+            (f"rho={float(rho)!r}/{name}", {"tuner": "pro", "noise": noise, **cfg})
+            for name, cfg in plans
         ]
-        configs.append(
-            (
-                "adaptive",
-                {
-                    "tuner": "pro",
-                    "noise": noise,
-                    "plan": SamplingPlan(1),
-                    "controller": partial(
-                        AdaptiveSamplingController, k_initial=1, k_max=6
-                    ),
-                },
-            )
-        )
-        table = _run_cells(
-            configs, trials=trials, budget=budget, rng=rng,
-            executor=executor, jobs=jobs,
-        )
-        table.meta.update({"rho": rho})
-        out[float(rho)] = table
-    return out
+    table = _run_cells(
+        configs, trials=trials, budget=budget, rng=rng,
+        executor=executor, jobs=jobs,
+    )
+    metas = {float(rho): {"rho": rho} for rho in rho_values}
+    return _split(table, metas, [name for name, _ in plans])
 
 
 def run_parallel_sampling_study(

@@ -3,20 +3,23 @@
 A :class:`TuningSession` drives an ask/tell tuner against an evaluator under
 a hard budget of application *time steps*:
 
-* each batch the tuner asks for is split into *waves* of at most P points
-  (P = number of processors); every wave costs exactly one time step and is
-  charged its barrier time ``T_k = max`` of the observed times (Eq. 1);
-* each point is observed K times (§5.2's multi-sampling) and reduced by
-  the configured estimator (min by default).  Two sampling disciplines:
+* each batch the tuner asks for is observed K times (§5.2's
+  multi-sampling) and each point's samples are reduced by the configured
+  estimator (min by default);
+* the batch's observations run in *waves* of at most P points (P = number
+  of processors); every wave costs exactly one time step and is charged its
+  barrier time ``T_k = max`` of the observed times (Eq. 1).  One loop walks
+  a wave schedule built once per batch, and the two sampling disciplines
+  differ only in that schedule:
 
-  - **sequential** (default) — the K rounds occupy subsequent time steps,
-    the paper's explicit worst-case assumption ("we do not take advantage
-    of multiple parallel sampling");
-  - **parallel** (``parallel_sampling=True``) — the K replicas of each
-    candidate are spread across spare processors within the same waves,
-    the paper's "if there are 64 parallel processors … we can set K = 10
-    with no additional cost" case: when ``n·K <= P`` a fully sampled batch
-    costs a single time step;
+  - **sequential** (default) — each of the K rounds gets its own waves, in
+    subsequent time steps: the paper's explicit worst-case assumption ("we
+    do not take advantage of multiple parallel sampling");
+  - **parallel** (``parallel_sampling=True``) — the round-major jobs are
+    packed into waves of P, so a wave may span rounds: the paper's "if there
+    are 64 parallel processors … we can set K = 10 with no additional cost"
+    case, where a fully sampled batch with ``n·K <= P`` costs a single time
+    step;
 * once the tuner has produced a local-minimum certificate (or whenever it
   has nothing to ask), the remaining budget runs the incumbent best
   configuration, which still pays observed (noisy) time — a converged tuner
@@ -30,6 +33,7 @@ which re-decides K between batches from the observed sample spread.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 import numpy as np
@@ -44,6 +48,45 @@ from repro.obs import trace as obs_trace
 from repro.variability.models import NoiseModel
 
 __all__ = ["TuningSession"]
+
+#: the schedule of a one-point wave (the exploit step)
+_ONE_POINT = ((0, 0, 1),)
+
+
+@functools.lru_cache(maxsize=1024)
+def _schedule(n: int, k: int, p: int | None, parallel: bool, probe: bool) -> tuple:
+    """The waves that observe *n* candidates *k* times each on *p* processors.
+
+    A wave is ``(segments, carries_probe)``: each ``(round, lo, hi)``
+    segment runs candidates ``lo:hi`` in that sampling round.  Sequential
+    sampling gives each round its own waves of at most P candidates.
+    Parallel sampling packs the round-major jobs into waves of P, so a wave
+    may span rounds and a budget cut still leaves the earliest rounds
+    complete across all points.  The incumbent *probe* needs a spare
+    processor, which a wave has only when it holds a whole round
+    (sequential) or the whole batch (parallel).  Batch shapes repeat, so
+    schedules are cached (they are tuples).
+    """
+    if not parallel:
+        size = n if p is None else p
+        spare = probe and (p is None or n < p)
+        return tuple(
+            (((s, lo, min(lo + size, n)),), spare)
+            for s in range(k)
+            for lo in range(0, n, size)
+        )
+    total = n * k
+    size = total if p is None else p
+    spare = probe and (p is None or total < p)
+    waves = []
+    for start in range(0, total, size):
+        stop = min(start + size, total)
+        segments = tuple(
+            (s, max(start - s * n, 0), min(stop - s * n, n))
+            for s in range(start // n, (stop - 1) // n + 1)
+        )
+        waves.append((segments, spare))
+    return tuple(waves)
 
 
 class TuningSession:
@@ -61,7 +104,7 @@ class TuningSession:
         controller: AdaptiveSamplingController | None = None,
         parallel_sampling: bool = False,
         record_details: bool = False,
-        batched_eval: bool | None = None,
+        batched_eval: bool = True,
         rng: int | np.random.Generator | None = None,
         tracer: "obs_trace.Tracer | None" = None,
     ) -> None:
@@ -90,11 +133,10 @@ class TuningSession:
         self.controller = controller
         self.parallel_sampling = bool(parallel_sampling)
         self.record_details = bool(record_details)
-        #: batched-evaluation fast path: None = use it whenever the
-        #: evaluator advertises ``supports_precomputed`` (bit-identical by
-        #: contract), False = always per-wave scalar loops (ablation /
-        #: debugging), True = require the fast path (raise if unsupported).
-        self.batched_eval = batched_eval
+        #: batched-evaluation fast path: True = use it whenever the evaluator
+        #: advertises ``supports_precomputed`` (bit-identical by contract),
+        #: False = the per-wave ``observe_wave`` reference
+        self.batched_eval = bool(batched_eval)
         self.rng = as_generator(rng)
         #: optional :class:`repro.obs.trace.Tracer` recording the session's
         #: per-step / per-batch events; sweep workers install one after
@@ -102,13 +144,6 @@ class TuningSession:
         self.tracer = tracer
 
     # -- helpers ---------------------------------------------------------------
-
-    def _waves(self, batch: list[np.ndarray]) -> list[list[np.ndarray]]:
-        """Split a batch into waves of at most P points."""
-        p = self.n_processors
-        if p is None or len(batch) <= p:
-            return [batch]
-        return [batch[i : i + p] for i in range(0, len(batch), p)]
 
     def _incumbent(self) -> np.ndarray:
         return self.tuner.best_point
@@ -120,29 +155,22 @@ class TuningSession:
         after construction; a wrapper that intercepts ``observe_wave`` keeps
         ``supports_precomputed`` False and turns the fast path off.
         """
-        if self.batched_eval is False:
-            return False
-        supported = bool(getattr(self.evaluator, "supports_precomputed", False))
-        if self.batched_eval is True and not supported:
-            raise ValueError(
-                f"batched_eval=True but {type(self.evaluator).__name__} "
-                "does not support precomputed observation"
-            )
-        return supported
+        return self.batched_eval and self.evaluator.supports_precomputed
 
     def _validate(
-        self, times: np.ndarray, t_step: float, n_pts: int
-    ) -> tuple[np.ndarray, float]:
-        """Validate one wave's output (two reductions cover every check).
+        self, times: np.ndarray, n: int, t_step: float | None = None
+    ) -> np.ndarray:
+        """Validate *n* observations (two reductions cover every check).
 
-        A substrate returning NaN/negative times or a mis-shaped result
-        would silently corrupt the Total_Time metric; fail loudly instead.
+        *t_step* is one wave's barrier time; None means *times* are the
+        barrier times of *n* one-point waves, each its own barrier.  A
+        substrate returning NaN/negative times or a mis-shaped result would
+        silently corrupt the Total_Time metric; fail loudly instead.
         """
         times = np.asarray(times, dtype=float)
-        if times.shape != (n_pts,):
+        if times.shape != (n,):
             raise RuntimeError(
-                f"evaluator returned {times.shape} times for a "
-                f"{n_pts}-point wave"
+                f"evaluator returned {times.shape} times for {n} observations"
             )
         tmin = float(times.min())
         tmax = float(times.max())
@@ -151,146 +179,77 @@ class TuningSession:
             raise RuntimeError(
                 f"evaluator returned invalid observation(s): {times!r}"
             )
-        if not np.isfinite(t_step) or t_step < tmax:
+        if t_step is not None and (not np.isfinite(t_step) or t_step < tmax):
             raise RuntimeError(
                 f"evaluator returned inconsistent barrier time {t_step!r} "
                 f"for wave maxima {tmax!r}"
             )
-        return times, float(t_step)
+        return times
 
-    def _validate_repeated(self, t_steps: np.ndarray, n: int) -> np.ndarray:
-        """Validate the barrier times of *n* one-point waves at once (a
-        one-point wave's observation is its barrier time)."""
-        t_steps = np.asarray(t_steps, dtype=float)
-        if t_steps.shape != (n,):
-            raise RuntimeError(
-                f"evaluator returned {t_steps.shape} times for {n} one-point waves"
-            )
-        if not (np.isfinite(t_steps).all() and float(t_steps.min()) >= 0.0):
-            raise RuntimeError(
-                f"evaluator returned invalid observation(s): {t_steps!r}"
-            )
-        return t_steps
-
-    def _observe(self, pts: list[np.ndarray]) -> tuple[np.ndarray, float]:
-        """Observe one wave through the scalar evaluator interface."""
-        times, t_step = self.evaluator.observe_wave(pts, self.rng)
-        return self._validate(times, t_step, len(pts))
-
-    def _observe_precomputed(
-        self, f_wave: np.ndarray, n_pts: int
+    def _observe(
+        self, points, costs, segments, probe: bool = False
     ) -> tuple[np.ndarray, float]:
-        """Observe one wave whose true costs were computed with the batch."""
-        times, t_step = self.evaluator.observe_precomputed(f_wave, self.rng)
-        return self._validate(times, t_step, n_pts)
+        """Observe one wave: ``points[lo:hi]`` of each segment, then the
+        incumbent if *probe*.
 
-    def _precompute(
-        self, batch, probe_incumbent
-    ) -> tuple[np.ndarray | None, float | None]:
-        """True costs for the batch (and incumbent), or (None, None).
-
-        The heart of the batched fast path: one vectorized
-        ``true_cost_batch`` call replaces per-wave per-round scalar loops.
-        The noise draws stay wave-by-wave in ``observe_precomputed``, so
-        RNG consumption — and therefore every result — is bit-identical to
-        the scalar path.
+        On the fast path *costs* is ``(f_points, f_probe)``, the true costs
+        computed with the batch, and only the noise is drawn; with *costs*
+        None the wave goes through ``observe_wave``.
         """
-        if not self._fast_eval_active():
-            return None, None
-        f_batch = np.asarray(self.evaluator.true_cost_batch(batch), dtype=float)
-        f_inc = (
-            float(self.evaluator.true_cost(self._incumbent()))
-            if probe_incumbent
-            else None
-        )
-        return f_batch, f_inc
-
-    def _evaluate_sequential(
-        self, batch, k, samples, probe_incumbent, record, step_times
-    ) -> tuple[bool, int]:
-        """K sampling rounds in subsequent time steps (the §6 worst case).
-
-        Fills ``samples`` in place; returns (truncated, measurements)."""
-        waves = self._waves(batch)
-        f_batch, f_inc = self._precompute(batch, probe_incumbent)
-        n_meas = 0
-        for s in range(k):
-            offset = 0
-            for w_idx, wave in enumerate(waves):
-                if len(step_times) >= self.budget:
-                    return True, n_meas
-                n_pts = len(wave)
-                extra = (
-                    probe_incumbent
-                    and w_idx == 0
-                    and (self.n_processors is None or n_pts < self.n_processors)
-                )
-                if extra:
-                    n_pts += 1
-                if f_batch is not None:
-                    f_wave = f_batch[offset : offset + len(wave)]
-                    if extra:
-                        f_wave = np.append(f_wave, f_inc)
-                    times, t_step = self._observe_precomputed(f_wave, n_pts)
-                else:
-                    pts = list(wave)
-                    if extra:
-                        pts.append(self._incumbent())
-                    times, t_step = self._observe(pts)
-                if extra:
-                    self.controller.observe_incumbent(float(times[-1]))
-                    times = times[: len(wave)]
-                samples[offset : offset + len(wave), s] = times
-                n_meas += n_pts
-                record(t_step, StepKind.EVALUATE, n_pts)
-                offset += len(wave)
-        return False, n_meas
-
-    def _evaluate_parallel(
-        self, batch, k, samples, probe_incumbent, record, step_times
-    ) -> tuple[bool, int]:
-        """K replicas of every candidate spread across processors (§5.2's
-        free-multi-sampling case: n·K <= P costs one time step).
-
-        Jobs are ordered round-major so a budget truncation still leaves the
-        earliest rounds complete across all points."""
-        jobs = [(i, s) for s in range(k) for i in range(len(batch))]
-        p = self.n_processors
-        wave_size = len(jobs) if p is None else p
-        f_batch, f_inc = self._precompute(batch, probe_incumbent)
-        n_meas = 0
-        first_wave = True
-        for start in range(0, len(jobs), wave_size):
-            if len(step_times) >= self.budget:
-                return True, n_meas
-            wave_jobs = jobs[start : start + wave_size]
-            n_pts = len(wave_jobs)
-            extra = (
-                probe_incumbent
-                and first_wave
-                and (p is None or n_pts < p)
-            )
-            if extra:
-                n_pts += 1
-            if f_batch is not None:
-                f_wave = f_batch[[i for i, _ in wave_jobs]]
-                if extra:
-                    f_wave = np.append(f_wave, f_inc)
-                times, t_step = self._observe_precomputed(f_wave, n_pts)
+        if costs is None:
+            pts = [pt for _, lo, hi in segments for pt in points[lo:hi]]
+            if probe:
+                pts.append(self._incumbent())
+            times, t_step = self.evaluator.observe_wave(pts, self.rng)
+            n = len(pts)
+        else:
+            f_points, f_probe = costs
+            if len(segments) == 1:
+                _, lo, hi = segments[0]
+                f = f_points[lo:hi]
             else:
-                pts = [batch[i] for i, _ in wave_jobs]
-                if extra:
-                    pts.append(self._incumbent())
-                times, t_step = self._observe(pts)
-            if extra:
+                f = np.concatenate([f_points[lo:hi] for _, lo, hi in segments])
+            if probe:
+                f = np.append(f, f_probe)
+            times, t_step = self.evaluator.observe_precomputed(f, self.rng)
+            n = f.size
+        return self._validate(times, n, t_step), float(t_step)
+
+    def _evaluate(self, batch, k, samples, probe, record_steps, steps_left) -> int:
+        """Run the batch's wave schedule, filling ``samples`` in place;
+        returns the measurements taken.  Every wave costs one time step, so
+        at most *steps_left* waves run: a budget cut truncates the batch.
+
+        The fast path prices the batch (and the incumbent) in one vectorized
+        ``true_cost_batch`` call; the noise draws stay wave by wave, so RNG
+        consumption — and therefore every result — is bit-identical to the
+        per-wave reference.
+        """
+        costs = None
+        if self._fast_eval_active():
+            f_batch = np.asarray(self.evaluator.true_cost_batch(batch), dtype=float)
+            f_probe = (
+                np.array([float(self.evaluator.true_cost(self._incumbent()))])
+                if probe
+                else None
+            )
+            costs = (f_batch, f_probe)
+        n_meas = 0
+        schedule = _schedule(
+            len(batch), k, self.n_processors, self.parallel_sampling, probe
+        )
+        for segments, carries_probe in schedule[:steps_left]:
+            times, t_step = self._observe(batch, costs, segments, carries_probe)
+            if carries_probe:
                 self.controller.observe_incumbent(float(times[-1]))
-                times = times[: len(wave_jobs)]
-            for (i, s), t in zip(wave_jobs, times):
-                samples[i, s] = t
-            n_meas += n_pts
-            record(t_step, StepKind.EVALUATE, n_pts)
-            first_wave = False
-        return False, n_meas
+            a = 0
+            for s, lo, hi in segments:
+                b = a + hi - lo
+                samples[lo:hi, s] = times[a:b]
+                a = b
+            n_meas += times.size
+            record_steps([t_step], StepKind.EVALUATE, times.size)
+        return n_meas
 
     # -- the loop -------------------------------------------------------------------
 
@@ -339,10 +298,10 @@ class TuningSession:
         converged_at: int | None = None
         # true_cost is deterministic by contract, and the incumbent only
         # changes on tell(), so its cost is recomputed once per distinct
-        # configuration instead of once per recorded step.  The ablation
-        # switch keeps the legacy per-step call for honest benchmarking.
+        # configuration instead of once per recorded step.  The reference
+        # path keeps the per-step call for honest benchmarking.
         inc_cost_cache: dict[bytes, float] = {}
-        use_inc_cache = self.batched_eval is not False
+        use_inc_cache = self.batched_eval
 
         def incumbent_cost() -> float:
             pt = self._incumbent()
@@ -360,8 +319,8 @@ class TuningSession:
         def record_steps(
             t_steps: list[float], kind: StepKind, wave_size: int = 1
         ) -> None:
-            """Record successive steps of one kind with no tell() between
-            them, exactly as one record() call per step would."""
+            """Record successive steps of one kind (no tell() between
+            them, so they share the incumbent's cost)."""
             first = len(step_times)
             step_times.extend(t_steps)
             step_kinds.extend([kind] * len(t_steps))
@@ -389,9 +348,6 @@ class TuningSession:
                     }
                     for _ in t_steps
                 )
-
-        def record(t_step: float, kind: StepKind, wave_size: int = 1) -> None:
-            record_steps([float(t_step)], kind, wave_size)
 
         # Reusable sample matrix: tuners that bound their batch size let us
         # allocate once and slice per batch instead of np.full every loop.
@@ -424,19 +380,18 @@ class TuningSession:
                         # in one call, which draws exactly as the per-step
                         # loop would.
                         n = self.budget - len(step_times)
-                        t_steps = self._validate_repeated(
+                        t_steps = self._validate(
                             self.evaluator.observe_repeated(f_exploit, n, self.rng), n
                         )
                         n_measurements += n
                         record_steps(t_steps.tolist(), StepKind.EXPLOIT)
                         break
-                    times, t_step = self._observe_precomputed(
-                        np.array([f_exploit], dtype=float), 1
-                    )
+                    points, costs = None, (np.array([f_exploit]), None)
                 else:
-                    times, t_step = self._observe([self._incumbent()])
+                    points, costs = [self._incumbent()], None
+                times, t_step = self._observe(points, costs, _ONE_POINT)
                 n_measurements += times.size
-                record(t_step, StepKind.EXPLOIT, 1)
+                record_steps([t_step], StepKind.EXPLOIT)
                 continue
             # Cluster substrates let idle nodes run the incumbent.
             set_fill = getattr(self.evaluator, "set_fill_point", None)
@@ -463,15 +418,10 @@ class TuningSession:
                 self.controller is not None
                 and getattr(self.tuner, "initialized", False)
             )
-            if self.parallel_sampling:
-                truncated, n_meas = self._evaluate_parallel(
-                    batch, k, samples, probe_incumbent, record, step_times
-                )
-            else:
-                truncated, n_meas = self._evaluate_sequential(
-                    batch, k, samples, probe_incumbent, record, step_times
-                )
-            n_measurements += n_meas
+            n_measurements += self._evaluate(
+                batch, k, samples, probe_incumbent, record_steps,
+                self.budget - len(step_times),
+            )
             valid = ~np.isnan(samples)
             if np.all(valid.any(axis=1)):
                 if valid.all():
@@ -495,14 +445,10 @@ class TuningSession:
                     )
                 if self.controller is not None:
                     self.controller.observe_batch(samples)
-            if truncated:
-                break
 
         if self.tuner.converged and converged_at is None:
             converged_at = len(step_times)
 
-        # Pad in the pathological case where the loop exited one step early
-        # (cannot happen with the logic above, but keep the metric honest).
         assert len(step_times) <= self.budget
         initialized = getattr(self.tuner, "initialized", True)
         best_point = self._incumbent()

@@ -1,8 +1,8 @@
 """Bit-identity of the session's batched-evaluation fast path.
 
-``batched_eval=None`` (the default) routes probe batches through
-``observe_precomputed`` whenever the evaluator supports it; ``False`` forces
-the historical wave-by-wave scalar loop.  The two must produce bitwise
+``batched_eval=True`` (the default) routes probe batches through
+``observe_precomputed`` whenever the evaluator supports it; ``False`` is the
+per-wave ``observe_wave`` reference.  The two must produce bitwise
 identical :class:`SessionResult` records — the fast path is an optimization,
 never a semantic change — and fault-injecting wrappers must transparently
 turn it off.
@@ -15,11 +15,7 @@ from repro.apps.database import PerformanceDatabase
 from repro.core.pro import ParallelRankOrdering
 from repro.core.sampling import SamplingPlan
 from repro.faults.inject import FaultyEvaluator
-from repro.harmony.evaluator import (
-    DelegatingEvaluator,
-    Evaluator,
-    FunctionEvaluator,
-)
+from repro.harmony.evaluator import Evaluator, FunctionEvaluator
 from repro.harmony.session import TuningSession
 from repro.space import IntParameter, ParameterSpace
 from repro.variability import ParetoNoise
@@ -37,7 +33,7 @@ def make_session(evaluator, seed, batched):
     noise = None if isinstance(evaluator, Evaluator) else ParetoNoise(rho=0.2)
     return TuningSession(
         ParallelRankOrdering(SPACE), evaluator, noise=noise,
-        budget=40, plan=SamplingPlan(2), batched_eval=None if batched else False,
+        budget=40, plan=SamplingPlan(2), batched_eval=batched,
         rng=seed,
     )
 
@@ -70,20 +66,9 @@ class TestBatchedEvalEquivalence:
         scalar = make_session(db(), seed, batched=False).run()
         assert_records_identical(fast, scalar)
 
-    def test_batched_true_requires_evaluator_support(self):
-        class Opaque(DelegatingEvaluator):
-            """Wrapper that does not advertise supports_precomputed."""
-
-        session = TuningSession(
-            ParallelRankOrdering(SPACE), Opaque(FunctionEvaluator(rugged)),
-            budget=10, plan=SamplingPlan(1), batched_eval=True, rng=0,
-        )
-        with pytest.raises(ValueError, match="batched_eval=True"):
-            session.run()
-
     def test_faulty_evaluator_opts_out_of_fast_path(self):
         # FaultyEvaluator injects by intercepting observe_wave, so it must
-        # keep the fast path off even when batched_eval is left at None —
+        # keep the fast path off even when batched_eval is left at True —
         # otherwise a scheduled fault would silently never fire.
         assert FaultyEvaluator.supports_precomputed is False
 

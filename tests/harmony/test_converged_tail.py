@@ -54,7 +54,7 @@ def run_session(noise, seed, *, batched, traced=False, details=False):
         budget=BUDGET,
         plan=SamplingPlan(2),
         record_details=details,
-        batched_eval=None if batched else False,
+        batched_eval=batched,
         rng=seed,
         tracer=tracer,
     )

@@ -216,9 +216,12 @@ class TestBusyWire:
             with TcpClientTransport("127.0.0.1", transport.port) as t:
                 client = TuningClient(t, session="s", busy_retries=1000,
                                       busy_backoff_cap=0.01)
-                # drain the hand-filled budget shortly after the first sheds
+                # drain the hand-filled budget once the first arrival has
+                # shed (a bounded wait: a loaded host may be slow to send it)
                 def drain():
-                    time.sleep(0.05)
+                    deadline = time.monotonic() + 10.0
+                    while server.admission.shed == 0 and time.monotonic() < deadline:
+                        time.sleep(0.001)
                     server.admission.complete(BUDGET)
 
                 threading.Thread(target=drain, daemon=True).start()

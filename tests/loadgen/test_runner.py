@@ -1,5 +1,8 @@
 """The load generator against live in-process servers (both loops)."""
 
+import threading
+import time
+
 import pytest
 
 from repro.core.sampling import MinEstimator, SamplingPlan
@@ -69,10 +72,20 @@ class TestClosedLoop:
     def test_admission_pressure_is_absorbed_by_retries(self):
         """A tiny budget under many sessions: work sheds, retries land it
         all anyway, and the report counts the absorbed sheds."""
-        server = make_server(
-            admission=AdmissionController(2, retry_after_s=0.002),
-            service_delay_s=0.001,
-        )
+        admission = AdmissionController(2, retry_after_s=0.002)
+        server = make_server(admission=admission, service_delay_s=0.001)
+        # Hold the whole budget so the first arrivals must shed, and give
+        # it back once one has (a bounded wait): the shed does not depend
+        # on contention, which a loaded host may never produce.
+        assert admission.try_admit(2)
+
+        def release():
+            deadline = time.monotonic() + 10.0
+            while admission.shed == 0 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            admission.complete(2)
+
+        threading.Thread(target=release, daemon=True).start()
         with AsyncTcpServerTransport(server) as transport:
             config = LoadgenConfig(
                 mode="closed", sessions=8, steps=3, connections=4,

@@ -11,20 +11,33 @@ NaN-free (NaN defeats JSON round-trip equality), so the faulted sweep
 below uses a plan seed verified to leave survivors in every cell.
 """
 
+import hashlib
+import itertools
 import json
 import math
 
 import numpy as np
 
+from repro.cluster import Cluster, ExponentialService, PoissonArrivals
+from repro.core.adaptive import AdaptiveSamplingController
 from repro.core.pro import ParallelRankOrdering
-from repro.core.sampling import SamplingPlan
+from repro.core.sampling import (
+    MeanEstimator,
+    MedianEstimator,
+    MinEstimator,
+    SamplingPlan,
+)
 from repro.experiments.runner import run_sweep
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, FaultyEvaluator
+from repro.harmony.evaluator import ClusterEvaluator, FunctionEvaluator
 from repro.harmony.session import TuningSession
 from repro.obs import Tracer, canonical_events, read_trace
+from repro.search import RandomSearch
 from repro.variability import ParetoNoise
 
 from tests.experiments.test_parallel import SPACE, QuadCell, quad_objective
+from tests.harmony.test_batched_eval import SPACE as RUGGED_SPACE
+from tests.harmony.test_batched_eval import rugged
 
 CELLS = [("k1", QuadCell(k=1, budget=20)), ("k2", QuadCell(k=2, budget=20))]
 
@@ -155,6 +168,127 @@ def test_wal_recovery_trace_snapshot(golden_jsonl, tmp_path):
         canonical_events(tracer_before.drain())
         + canonical_events(tracer_after.drain()),
     )
+
+
+# -- the session's wave loop, case by case -----------------------------------------
+#
+# A compact matrix over the loop that charges every wave one time step:
+# sequential and parallel sampling, P in {None, 2, 5, 64}, K in {1, 3}, the
+# adaptive-K controller (whose incumbent probe rides a spare processor) on
+# and off, and budgets of 7 (cut mid-batch), 60 and 200 steps; then P at
+# the batch-size edges, the mean and median estimators, random search, a
+# slowdown fault injector, a simulated cluster and one traced run per
+# discipline.  Each case runs on the batched fast path and on the per-wave
+# reference, which must agree exactly.  Records spell floats in hex and end
+# with the generator's state; the snapshot keeps every case's SHA-256 and
+# the full record of a few.
+
+_WAVE_FULL = ("seq-P2-K3-ctrl-b7", "par-P5-K3-ctrl-b7", "seq-traced", "par-traced")
+
+
+def _wave_cases():
+    """``{name: case}`` for the wave-loop snapshot."""
+    cases = {}
+
+    def add(name, par, **case):
+        cases[f"{'par' if par else 'seq'}-{name}"] = dict(parallel_sampling=par, **case)
+
+    def ctrl_name(ctrl):
+        return "ctrl" if ctrl else "fixed"
+
+    for par, p, k, ctrl, budget in itertools.product(
+        (False, True), (None, 2, 5, 64), (1, 3), (False, True), (7, 60, 200)
+    ):
+        add(f"P{p}-K{k}-{ctrl_name(ctrl)}-b{budget}", par,
+            n_processors=p, k=k, controller=ctrl, budget=budget)
+    # P at and just above the batch sizes (7 and 8 candidates, n·K for
+    # K = 2): the probe needs a spare processor, so a full wave never has it
+    for par, p, k in itertools.product((False, True), (7, 8, 14, 16), (1, 2)):
+        add(f"edge-P{p}-K{k}", par, n_processors=p, k=k, controller=True, budget=60)
+    for par, est, p in itertools.product((False, True), ("mean", "median"), (2, None)):
+        add(f"{est}-P{p}", par, n_processors=p, k=3, controller=True, budget=60,
+            estimator=est)
+    for par, p, k, ctrl in itertools.product(
+        (False, True), (None, 4), (1, 3), (False, True)
+    ):
+        add(f"random-P{p}-K{k}-{ctrl_name(ctrl)}", par,
+            n_processors=p, k=k, controller=ctrl, budget=30, tuner="random")
+    for par, p, ctrl in itertools.product((False, True), (None, 3), (False, True)):
+        add(f"slowdown-P{p}-{ctrl_name(ctrl)}", par,
+            n_processors=p, k=2, controller=ctrl, budget=60, substrate="slowdown")
+    for par in (False, True):
+        add("cluster", par, n_processors=None, k=2, controller=True, budget=40,
+            substrate="cluster")
+        add("traced", par, n_processors=5, k=2, controller=True, budget=60,
+            traced=True)
+    return cases
+
+
+def _wave_session(case, seed, batched_eval):
+    estimator = {"mean": MeanEstimator(), "median": MedianEstimator()}.get(
+        case.get("estimator"), MinEstimator()
+    )
+    plan = SamplingPlan(case["k"], estimator)
+    if case.get("tuner") == "random":
+        tuner = RandomSearch(RUGGED_SPACE, batch_size=6, rng=seed)
+    else:
+        tuner = ParallelRankOrdering(RUGGED_SPACE)
+    evaluator = FunctionEvaluator(rugged, ParetoNoise(rho=0.2))
+    if case.get("substrate") == "slowdown":
+        evaluator = FaultyEvaluator(evaluator, mode="slowdown", after=3, times=4)
+    elif case.get("substrate") == "cluster":
+        cluster = Cluster(
+            6, private_sources=[PoissonArrivals(0.2, ExponentialService(0.3))],
+            seed=seed,
+        )
+        evaluator = ClusterEvaluator(rugged, cluster)
+    controller = (
+        AdaptiveSamplingController(k_initial=case["k"], k_max=4)
+        if case["controller"] else None
+    )
+    return TuningSession(
+        tuner, evaluator, budget=case["budget"],
+        n_processors=case["n_processors"], plan=plan, controller=controller,
+        parallel_sampling=case["parallel_sampling"], record_details=True,
+        batched_eval=batched_eval, rng=seed,
+        tracer=Tracer(label="session") if case.get("traced") else None,
+    )
+
+
+def _wave_record(session):
+    result = session.run()
+    record = {
+        "step_times": [t.hex() for t in result.step_times.tolist()],
+        "step_kinds": [kind.value for kind in result.step_kinds],
+        "incumbent_true_costs": [
+            c.hex() for c in result.incumbent_true_costs.tolist()
+        ],
+        "best_point": result.best_point.tolist(),
+        "best_estimate": result.best_estimate.hex(),
+        "best_true_cost": result.best_true_cost.hex(),
+        "n_measurements": result.n_measurements,
+        "n_evaluations": result.n_evaluations,
+        "converged_at": result.converged_at,
+        "step_details": list(result.step_details),
+        "rng_state": session.rng.bit_generator.state,
+    }
+    if session.tracer is not None:
+        record["events"] = canonical_events(session.tracer.drain())
+    return record
+
+
+def test_session_waves_snapshot(golden_text):
+    digests, records = {}, {}
+    for seed, (name, case) in enumerate(sorted(_wave_cases().items()), 100):
+        fast = _wave_record(_wave_session(case, seed, batched_eval=True))
+        reference = _wave_record(_wave_session(case, seed, batched_eval=False))
+        assert fast == reference, f"{name}: fast path diverged from the reference"
+        canonical = json.dumps(fast, sort_keys=True)
+        digests[name] = hashlib.sha256(canonical.encode()).hexdigest()
+        if name in _WAVE_FULL:
+            records[name] = fast
+    text = json.dumps({"sha256": digests, "records": records}, indent=1, sort_keys=True)
+    golden_text("session_waves.json", text + "\n")
 
 
 # -- serialized server state, byte for byte ------------------------------------------
