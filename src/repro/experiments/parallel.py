@@ -429,27 +429,30 @@ def _run_chunk(tasks: Sequence[SweepTask]) -> list[TrialOutcome | TrialFailure]:
 def chunk_tasks(n_tasks: int, jobs: int) -> list[range]:
     """Split ``range(n_tasks)`` into contiguous chunks for pool submission.
 
-    The chunk size targets ~4 chunks per worker, keeping pickling
-    overhead amortized while bounding how much work any one slow chunk
-    holds; short sweeps (fewer than 4 tasks per worker) always chunk at
-    size 1 so every worker draws work instead of idling behind a
-    neighbour's chunk — with worker-persistent factories a task descriptor
-    is a few bytes, so minimal chunks cost nothing.  Stragglers are not
-    rebalanced at this layer: a task that exceeds its ``timeout`` is
-    abandoned by the per-task watchdog and surfaces as a timeout
-    :class:`TrialFailure`, which the recovery pass in
-    :func:`execute_ordered` re-dispatches (with its original seed) as a
-    fresh single-task submission.
+    Chunk sizes are guided: each chunk takes ``1 / (2 * jobs)`` of the
+    tasks still unassigned (at least one), so 144 tasks on 2 workers ship
+    as 36, 27, 20, ..., 1.  Large early chunks keep pickling overhead
+    amortized, and the sizes shrink towards single tasks, so no worker
+    idles at the end of a sweep while another finishes a long last chunk;
+    short sweeps (fewer than 4 tasks per worker) chunk at size 1 throughout
+    — with worker-persistent factories a task descriptor is a few bytes,
+    so minimal chunks cost nothing.  Stragglers are not rebalanced at this
+    layer: a task that exceeds its ``timeout`` is abandoned by the per-task
+    watchdog and surfaces as a timeout :class:`TrialFailure`, which the
+    recovery pass in :func:`execute_ordered` re-dispatches (with its
+    original seed) as a fresh single-task submission.
     """
     if n_tasks < 0:
         raise ValueError(f"n_tasks must be >= 0, got {n_tasks}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    size = 1 if n_tasks < jobs * 4 else -(-n_tasks // (jobs * 4))
-    return [
-        range(start, min(start + size, n_tasks))
-        for start in range(0, n_tasks, size)
-    ]
+    chunks = []
+    start = 0
+    while start < n_tasks:
+        stop = start + max(1, (n_tasks - start) // (2 * jobs))
+        chunks.append(range(start, stop))
+        start = stop
+    return chunks
 
 
 class Executor(ABC):

@@ -55,7 +55,7 @@ class FaultyEvaluator(DelegatingEvaluator):
     MODES = ("nan", "negative", "wrong_shape", "bad_barrier", "raises", "slowdown")
 
     #: Faults are injected by intercepting ``observe_wave``, so the
-    #: session's batched ``observe_precomputed`` fast path must stay off —
+    #: session's batched ``observe_waves`` fast path must stay off —
     #: it would route observations around the interception and the
     #: scheduled fault would silently never fire.  Explicit here (rather
     #: than inherited) because it is a correctness requirement, not a

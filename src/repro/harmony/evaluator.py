@@ -4,6 +4,9 @@ An :class:`Evaluator` answers one question per application time step: given
 the wave of configurations the P processors are about to run, what times
 were observed?  It returns both the per-point observations (the tuner's
 samples) and the wave's barrier time ``T_k`` (the session's cost charge).
+A substrate whose observations are a deterministic cost plus drawn noise
+(``supports_precomputed``) also answers a batch's whole wave schedule in
+one :meth:`Evaluator.observe_waves` call.
 
 Three substrates:
 
@@ -43,12 +46,13 @@ class Evaluator(ABC):
     #: idle throughput of the substrate (for Normalized Total Time)
     rho: float = 0.0
 
-    #: True when :meth:`observe_precomputed` may stand in for
-    #: :meth:`observe_wave` — i.e. an observation is exactly (deterministic
-    #: true cost) + (noise drawn from *rng* in wave order), so the session
-    #: may compute true costs once per batch instead of once per wave per
-    #: round.  Wrappers that intercept ``observe_wave`` must leave this
-    #: False or the interception would be bypassed.
+    #: True when :meth:`observe_precomputed` and :meth:`observe_waves` may
+    #: stand in for :meth:`observe_wave` — i.e. an observation is exactly
+    #: (deterministic true cost) + (noise drawn from *rng* in wave order),
+    #: so the session may compute true costs once per batch and observe a
+    #: batch's whole wave schedule in one call.  Wrappers that intercept
+    #: ``observe_wave`` must leave this False or the interception would be
+    #: bypassed.
     supports_precomputed: bool = False
 
     @abstractmethod
@@ -86,18 +90,25 @@ class Evaluator(ABC):
             f"{type(self).__name__} does not support precomputed observation"
         )
 
-    def observe_repeated(
-        self, f: float, n: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Barrier times of *n* successive one-point waves of true cost *f*.
+    def observe_waves(
+        self, f: np.ndarray, starts: np.ndarray, rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Observe successive waves whose true costs *f* were already computed.
 
-        Only meaningful when :attr:`supports_precomputed` is True.  Must
-        return, and leave *rng* in the state of, *n* calls of
-        :meth:`observe_precomputed` on ``[f]``; this default makes them.
+        Wave *i* is ``f[starts[i]:starts[i + 1]]`` (the last runs to the
+        end).  Returns ``(times, t_steps)``: every observation in the order
+        of *f*, and each wave's barrier time.  Only meaningful when
+        :attr:`supports_precomputed` is True.  Must return, and leave *rng*
+        in the state of, one :meth:`observe_precomputed` call per wave;
+        this default makes them.
         """
-        wave = np.array([float(f)])
-        return np.array(
-            [self.observe_precomputed(wave, rng)[1] for _ in range(n)], dtype=float
+        bounds = [*starts.tolist(), f.size]
+        waves = [
+            self.observe_precomputed(f[a:b], rng) for a, b in zip(bounds, bounds[1:])
+        ]
+        return (
+            np.concatenate([times for times, _ in waves]),
+            np.array([t_step for _, t_step in waves], dtype=float),
         )
 
     @property
@@ -140,8 +151,8 @@ class FunctionEvaluator(Evaluator):
     """Pure cost function + analytic noise model.
 
     Observation decomposes as deterministic cost + analytic noise, so the
-    session may precompute ``true_cost_batch`` once per ask-batch and feed
-    the slices through :meth:`observe_precomputed` wave by wave.
+    session may precompute ``true_cost_batch`` once per ask-batch and
+    observe the batch's waves in one :meth:`observe_waves` call.
     """
 
     supports_precomputed = True
@@ -186,12 +197,16 @@ class FunctionEvaluator(Evaluator):
         y = self.noise.observe_batch(f, rng)
         return y, float(y.max())
 
-    def observe_repeated(
-        self, f: float, n: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """One block draw from the noise model, whose RNG contract matches:
-        a one-point wave's barrier time is its observation."""
-        return self.noise.observe_repeated(f, n, rng)
+    def observe_waves(
+        self, f: np.ndarray, starts: np.ndarray, rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One draw from the noise model, whose RNG contract matches, and
+        each wave's barrier time as the max over its slice (Eq. 1)."""
+        f = np.asarray(f, dtype=float)
+        if f.size == 0:
+            raise ValueError("cannot observe an empty wave")
+        y = self.noise.observe_waves(f, starts, rng)
+        return y, np.maximum.reduceat(y, starts)
 
 
 class DatabaseEvaluator(FunctionEvaluator):

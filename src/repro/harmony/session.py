@@ -20,6 +20,9 @@ a hard budget of application *time steps*:
     are 64 parallel processors … we can set K = 10 with no additional cost"
     case, where a fully sampled batch with ``n·K <= P`` costs a single time
     step;
+
+  in both, the observations run in round-major order, so an evaluator that
+  takes precomputed costs observes a batch's whole schedule in one call;
 * once the tuner has produced a local-minimum certificate (or whenever it
   has nothing to ask), the remaining budget runs the incumbent best
   configuration, which still pays observed (noisy) time — a converged tuner
@@ -34,7 +37,8 @@ which re-decides K between batches from the observed sample spread.
 from __future__ import annotations
 
 import functools
-from typing import Callable
+import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -49,44 +53,62 @@ from repro.variability.models import NoiseModel
 
 __all__ = ["TuningSession"]
 
-#: the schedule of a one-point wave (the exploit step)
+#: the segments of a one-point wave (the exploit step)
 _ONE_POINT = ((0, 0, 1),)
 
 
+class _Schedule(NamedTuple):
+    """The waves that observe one batch (see :func:`_schedule`)."""
+
+    #: each wave's ``(round, lo, hi)`` segments
+    waves: tuple
+    #: whether every wave ends with the incumbent probe (else none does)
+    probe: bool
+    #: each wave's first observation in the batch's round-major order, then
+    #: the total: the ``starts`` of ``observe_waves``
+    bounds: np.ndarray
+    #: each wave's size, the probe included
+    sizes: tuple
+
+
 @functools.lru_cache(maxsize=1024)
-def _schedule(n: int, k: int, p: int | None, parallel: bool, probe: bool) -> tuple:
+def _schedule(n: int, k: int, p: int | None, parallel: bool, probe: bool) -> _Schedule:
     """The waves that observe *n* candidates *k* times each on *p* processors.
 
-    A wave is ``(segments, carries_probe)``: each ``(round, lo, hi)``
-    segment runs candidates ``lo:hi`` in that sampling round.  Sequential
-    sampling gives each round its own waves of at most P candidates.
-    Parallel sampling packs the round-major jobs into waves of P, so a wave
-    may span rounds and a budget cut still leaves the earliest rounds
-    complete across all points.  The incumbent *probe* needs a spare
-    processor, which a wave has only when it holds a whole round
-    (sequential) or the whole batch (parallel).  Batch shapes repeat, so
-    schedules are cached (they are tuples).
+    Each ``(round, lo, hi)`` segment of a wave runs candidates ``lo:hi`` in
+    that sampling round.  Sequential sampling gives each round its own
+    waves of at most P candidates.  Parallel sampling packs the round-major
+    jobs into waves of P, so a wave may span rounds and a budget cut still
+    leaves the earliest rounds complete across all points.  Either way the
+    waves list the observations in round-major order.  The incumbent
+    *probe* needs a spare processor, which a wave has only when it holds a
+    whole round (sequential) or the whole batch (parallel), and then every
+    wave has one.  Batch shapes repeat, so schedules are cached.
     """
     if not parallel:
         size = n if p is None else p
         spare = probe and (p is None or n < p)
-        return tuple(
-            (((s, lo, min(lo + size, n)),), spare)
+        waves = tuple(
+            ((s, lo, min(lo + size, n)),)
             for s in range(k)
             for lo in range(0, n, size)
         )
-    total = n * k
-    size = total if p is None else p
-    spare = probe and (p is None or total < p)
-    waves = []
-    for start in range(0, total, size):
-        stop = min(start + size, total)
-        segments = tuple(
-            (s, max(start - s * n, 0), min(stop - s * n, n))
-            for s in range(start // n, (stop - 1) // n + 1)
-        )
-        waves.append((segments, spare))
-    return tuple(waves)
+    else:
+        total = n * k
+        size = total if p is None else p
+        spare = probe and (p is None or total < p)
+        waves = []
+        for start in range(0, total, size):
+            stop = min(start + size, total)
+            waves.append(tuple(
+                (s, max(start - s * n, 0), min(stop - s * n, n))
+                for s in range(start // n, (stop - 1) // n + 1)
+            ))
+        waves = tuple(waves)
+    sizes = tuple(sum(hi - lo for _, lo, hi in wave) + spare for wave in waves)
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    bounds.setflags(write=False)  # shared by every caller of the cache
+    return _Schedule(waves, spare, bounds, sizes)
 
 
 class TuningSession:
@@ -149,7 +171,7 @@ class TuningSession:
         return self.tuner.best_point
 
     def _fast_eval_active(self) -> bool:
-        """Whether this batch may go through ``observe_precomputed``.
+        """Whether this batch may go through ``observe_waves``.
 
         Resolved per batch because fault injectors swap ``self.evaluator``
         after construction; a wrapper that intercepts ``observe_wave`` keeps
@@ -157,15 +179,13 @@ class TuningSession:
         """
         return self.batched_eval and self.evaluator.supports_precomputed
 
-    def _validate(
-        self, times: np.ndarray, n: int, t_step: float | None = None
-    ) -> np.ndarray:
-        """Validate *n* observations (two reductions cover every check).
+    @staticmethod
+    def _check_times(times, n: int) -> tuple[np.ndarray, float]:
+        """Validate *n* observations (two reductions cover every check) and
+        return them with their max.
 
-        *t_step* is one wave's barrier time; None means *times* are the
-        barrier times of *n* one-point waves, each its own barrier.  A
-        substrate returning NaN/negative times or a mis-shaped result would
-        silently corrupt the Total_Time metric; fail loudly instead.
+        A substrate returning NaN/negative times or a mis-shaped result
+        would silently corrupt the Total_Time metric; fail loudly instead.
         """
         times = np.asarray(times, dtype=float)
         if times.shape != (n,):
@@ -175,81 +195,111 @@ class TuningSession:
         tmin = float(times.min())
         tmax = float(times.max())
         # NaN propagates into both reductions; +/-inf lands in one of them.
-        if not (np.isfinite(tmin) and np.isfinite(tmax)) or tmin < 0:
+        if not (math.isfinite(tmin) and math.isfinite(tmax)) or tmin < 0:
             raise RuntimeError(
                 f"evaluator returned invalid observation(s): {times!r}"
             )
-        if t_step is not None and (not np.isfinite(t_step) or t_step < tmax):
+        return times, tmax
+
+    def _validate(self, times, n: int, t_step: float) -> np.ndarray:
+        """Validate one wave of *n* observations and its barrier time."""
+        times, tmax = self._check_times(times, n)
+        if not math.isfinite(t_step) or t_step < tmax:
             raise RuntimeError(
                 f"evaluator returned inconsistent barrier time {t_step!r} "
                 f"for wave maxima {tmax!r}"
             )
         return times
 
-    def _observe(
-        self, points, costs, segments, probe: bool = False
-    ) -> tuple[np.ndarray, float]:
-        """Observe one wave: ``points[lo:hi]`` of each segment, then the
-        incumbent if *probe*.
-
-        On the fast path *costs* is ``(f_points, f_probe)``, the true costs
-        computed with the batch, and only the noise is drawn; with *costs*
-        None the wave goes through ``observe_wave``.
-        """
-        if costs is None:
-            pts = [pt for _, lo, hi in segments for pt in points[lo:hi]]
-            if probe:
-                pts.append(self._incumbent())
-            times, t_step = self.evaluator.observe_wave(pts, self.rng)
-            n = len(pts)
-        else:
-            f_points, f_probe = costs
-            if len(segments) == 1:
-                _, lo, hi = segments[0]
-                f = f_points[lo:hi]
-            else:
-                f = np.concatenate([f_points[lo:hi] for _, lo, hi in segments])
-            if probe:
-                f = np.append(f, f_probe)
-            times, t_step = self.evaluator.observe_precomputed(f, self.rng)
-            n = f.size
-        return self._validate(times, n, t_step), float(t_step)
-
-    def _evaluate(self, batch, k, samples, probe, record_steps, steps_left) -> int:
-        """Run the batch's wave schedule, filling ``samples`` in place;
-        returns the measurements taken.  Every wave costs one time step, so
-        at most *steps_left* waves run: a budget cut truncates the batch.
-
-        The fast path prices the batch (and the incumbent) in one vectorized
-        ``true_cost_batch`` call; the noise draws stay wave by wave, so RNG
-        consumption — and therefore every result — is bit-identical to the
-        per-wave reference.
-        """
-        costs = None
-        if self._fast_eval_active():
-            f_batch = np.asarray(self.evaluator.true_cost_batch(batch), dtype=float)
-            f_probe = (
-                np.array([float(self.evaluator.true_cost(self._incumbent()))])
-                if probe
-                else None
+    def _validate_waves(
+        self, times, t_steps, starts: np.ndarray, n: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Validate *n* observations of the waves that start at *starts* and
+        their barrier times, all in one pass."""
+        times, _ = self._check_times(times, n)
+        t_steps = np.asarray(t_steps, dtype=float)
+        if t_steps.shape != starts.shape:
+            raise RuntimeError(
+                f"evaluator returned {t_steps.shape} barrier times for "
+                f"{starts.size} waves"
             )
-            costs = (f_batch, f_probe)
-        n_meas = 0
-        schedule = _schedule(
-            len(batch), k, self.n_processors, self.parallel_sampling, probe
-        )
-        for segments, carries_probe in schedule[:steps_left]:
-            times, t_step = self._observe(batch, costs, segments, carries_probe)
-            if carries_probe:
-                self.controller.observe_incumbent(float(times[-1]))
-            a = 0
-            for s, lo, hi in segments:
-                b = a + hi - lo
-                samples[lo:hi, s] = times[a:b]
-                a = b
-            n_meas += times.size
-            record_steps([t_step], StepKind.EVALUATE, times.size)
-        return n_meas
+        maxima = np.maximum.reduceat(times, starts)
+        # NaN fails the comparison; +inf passes it but not the max.
+        if not ((t_steps >= maxima).all() and math.isfinite(float(t_steps.max()))):
+            raise RuntimeError(
+                f"evaluator returned inconsistent barrier time(s) {t_steps!r} "
+                f"for wave maxima {maxima!r}"
+            )
+        return times, t_steps
+
+    def _observe(self, points, segments, probe: bool = False) -> tuple[np.ndarray, float]:
+        """Observe one wave through ``observe_wave``: ``points[lo:hi]`` of
+        each segment, then the incumbent if *probe*."""
+        pts = [pt for _, lo, hi in segments for pt in points[lo:hi]]
+        if probe:
+            pts.append(self._incumbent())
+        times, t_step = self.evaluator.observe_wave(pts, self.rng)
+        return self._validate(times, len(pts), t_step), float(t_step)
+
+    def _evaluate(
+        self, batch, samples, schedule, n_waves, incumbent_cost, record_steps
+    ) -> int:
+        """Run the first *n_waves* waves of the batch's *schedule*, filling
+        ``samples`` in place; returns the measurements taken.
+
+        The fast path prices the batch in one vectorized ``true_cost_batch``
+        call, takes the probe's cost from *incumbent_cost* (only when a wave
+        runs the probe) and observes every wave in one ``observe_waves``
+        call, which draws the noise exactly as the per-wave reference does:
+        every result is bit-identical to it.  The observations come back in
+        round-major order, the probe closing each wave that carries it, so
+        the sample matrix fills by reshaped slices.
+        """
+        if not self._fast_eval_active():
+            n_meas = 0
+            for segments in schedule.waves[:n_waves]:
+                times, t_step = self._observe(batch, segments, schedule.probe)
+                if schedule.probe:
+                    self.controller.observe_incumbent(float(times[-1]))
+                a = 0
+                for s, lo, hi in segments:
+                    b = a + hi - lo
+                    samples[lo:hi, s] = times[a:b]
+                    a = b
+                n_meas += times.size
+                record_steps([t_step], StepKind.EVALUATE, (times.size,))
+            return n_meas
+        n = len(batch)
+        starts = schedule.bounds[:n_waves]
+        total = int(schedule.bounds[n_waves])
+        m = total - n_waves if schedule.probe else total  # candidate observations
+        f_batch = np.asarray(self.evaluator.true_cost_batch(batch), dtype=float)
+        if m <= n:
+            f = f_batch[:m]
+        else:
+            rounds = -(-m // n)
+            f = np.empty(rounds * n)
+            f.reshape(rounds, n)[:] = f_batch
+            f = f[:m]
+        if schedule.probe:
+            per_wave = np.empty((n_waves, m // n_waves + 1))
+            per_wave[:, :-1] = f.reshape(n_waves, -1)
+            per_wave[:, -1] = incumbent_cost()
+            f = per_wave.reshape(-1)
+        times, t_steps = self.evaluator.observe_waves(f, starts, self.rng)
+        times, t_steps = self._validate_waves(times, t_steps, starts, total)
+        r, rem = divmod(m, n)
+        if schedule.probe:
+            per_wave = times.reshape(n_waves, -1)
+            samples[:, :r] = per_wave[:, :-1].reshape(r, n).T
+            for t in per_wave[:, -1].tolist():
+                self.controller.observe_incumbent(t)
+        else:
+            samples[:, :r] = times[: r * n].reshape(r, n).T
+            if rem:
+                samples[:rem, r] = times[r * n :]
+        record_steps(t_steps.tolist(), StepKind.EVALUATE, schedule.sizes[:n_waves])
+        return total
 
     # -- the loop -------------------------------------------------------------------
 
@@ -317,21 +367,24 @@ class TuningSession:
         tracer = self.tracer
 
         def record_steps(
-            t_steps: list[float], kind: StepKind, wave_size: int = 1
+            t_steps: list[float], kind: StepKind, wave_sizes: tuple | None = None
         ) -> None:
             """Record successive steps of one kind (no tell() between
-            them, so they share the incumbent's cost)."""
+            them, so they share the incumbent's cost); *wave_sizes* gives
+            each step's wave size, None one-point waves."""
             first = len(step_times)
             step_times.extend(t_steps)
             step_kinds.extend([kind] * len(t_steps))
+            if wave_sizes is None:
+                wave_sizes = (1,) * len(t_steps)
             if tracer is not None:
-                for t, t_step in enumerate(t_steps, first):
+                for t, (t_step, size) in enumerate(zip(t_steps, wave_sizes), first):
                     tracer.emit(
                         "session.step",
                         t=t,
                         step_kind=kind.value,
                         t_step=t_step,
-                        wave=int(wave_size),
+                        wave=int(size),
                     )
             initialized = getattr(self.tuner, "initialized", True)
             cost = incumbent_cost() if initialized else float("nan")
@@ -343,14 +396,14 @@ class TuningSession:
                 details.extend(
                     {
                         "kind": kind.value,
-                        "wave_size": int(wave_size),
+                        "wave_size": int(size),
                         "batch_index": batch_index,
                     }
-                    for _ in t_steps
+                    for size in wave_sizes
                 )
 
         # Reusable sample matrix: tuners that bound their batch size let us
-        # allocate once and slice per batch instead of np.full every loop.
+        # allocate once and slice per batch instead of allocating every loop.
         max_batch = getattr(self.tuner, "max_batch_size", None)
         sample_buf: np.ndarray | None = None
 
@@ -371,27 +424,22 @@ class TuningSession:
                 # path reuses the cached true cost (the incumbent cannot
                 # change between tell()s) and draws only the noise —
                 # bit-identical to observe_wave, which computes the same f
-                # before making the same draw.
+                # before making the same draw.  A converged tuner never asks
+                # again, so every remaining step runs this incumbent: the
+                # fast path observes them as one schedule of one-point waves.
                 if self._fast_eval_active():
-                    f_exploit = incumbent_cost()
-                    if self.tuner.converged:
-                        # A converged tuner never asks again, so every
-                        # remaining step runs this incumbent: observe them
-                        # in one call, which draws exactly as the per-step
-                        # loop would.
-                        n = self.budget - len(step_times)
-                        t_steps = self._validate(
-                            self.evaluator.observe_repeated(f_exploit, n, self.rng), n
-                        )
-                        n_measurements += n
-                        record_steps(t_steps.tolist(), StepKind.EXPLOIT)
-                        break
-                    points, costs = None, (np.array([f_exploit]), None)
+                    n = self.budget - len(step_times) if self.tuner.converged else 1
+                    starts = np.arange(n)
+                    times, t_steps = self.evaluator.observe_waves(
+                        np.full(n, incumbent_cost()), starts, self.rng
+                    )
+                    times, t_steps = self._validate_waves(times, t_steps, starts, n)
+                    n_measurements += n
+                    record_steps(t_steps.tolist(), StepKind.EXPLOIT)
                 else:
-                    points, costs = [self._incumbent()], None
-                times, t_step = self._observe(points, costs, _ONE_POINT)
-                n_measurements += times.size
-                record_steps([t_step], StepKind.EXPLOIT)
+                    times, t_step = self._observe([self._incumbent()], _ONE_POINT)
+                    n_measurements += times.size
+                    record_steps([t_step], StepKind.EXPLOIT)
                 continue
             # Cluster substrates let idle nodes run the incumbent.
             set_fill = getattr(self.evaluator, "set_fill_point", None)
@@ -402,13 +450,6 @@ class TuningSession:
                 if self.controller is not None
                 else self.plan.k
             )
-            if max_batch is not None and len(batch) <= max_batch:
-                if sample_buf is None or sample_buf.shape[1] != k:
-                    sample_buf = np.empty((max_batch, k), dtype=float)
-                samples = sample_buf[: len(batch)]
-                samples.fill(np.nan)
-            else:
-                samples = np.full((len(batch), k), np.nan)
             # With a controller in play, piggyback one observation of the
             # incumbent per batch on a spare processor: repeated
             # same-configuration measurements are the pure-noise signal the
@@ -418,33 +459,47 @@ class TuningSession:
                 self.controller is not None
                 and getattr(self.tuner, "initialized", False)
             )
-            n_measurements += self._evaluate(
-                batch, k, samples, probe_incumbent, record_steps,
-                self.budget - len(step_times),
+            schedule = _schedule(
+                len(batch), k, self.n_processors, self.parallel_sampling,
+                probe_incumbent,
             )
-            valid = ~np.isnan(samples)
-            if np.all(valid.any(axis=1)):
-                if valid.all():
-                    # Untruncated batch: one vectorized axis-1 reduction.
-                    estimates = np.asarray(
-                        self.plan.combine_batch(samples), dtype=float
-                    )
-                else:
-                    estimates = np.array(
-                        [
-                            self.plan.combine(row[mask])
-                            for row, mask in zip(samples, valid)
-                        ]
-                    )
-                self.tuner.tell(estimates)
-                if tracer is not None:
-                    tracer.emit(
-                        "batch.told",
-                        size=int(len(estimates)),
-                        best=float(np.min(estimates)),
-                    )
-                if self.controller is not None:
-                    self.controller.observe_batch(samples)
+            # Every wave costs one time step, so a budget cut truncates the
+            # batch; only a truncated batch leaves samples unobserved (NaN).
+            n_waves = min(self.budget - len(step_times), len(schedule.waves))
+            whole = n_waves == len(schedule.waves)
+            if max_batch is not None and len(batch) <= max_batch:
+                if sample_buf is None or sample_buf.shape[1] != k:
+                    sample_buf = np.empty((max_batch, k), dtype=float)
+                samples = sample_buf[: len(batch)]
+            else:
+                samples = np.empty((len(batch), k))
+            if not whole:
+                samples.fill(np.nan)
+            n_measurements += self._evaluate(
+                batch, samples, schedule, n_waves, incumbent_cost, record_steps
+            )
+            if whole:
+                # One vectorized axis-1 reduction.
+                estimates = np.asarray(self.plan.combine_batch(samples), dtype=float)
+            else:
+                valid = ~np.isnan(samples)
+                if not valid.any(axis=1).all():
+                    break  # a point went unobserved; the budget is spent
+                estimates = np.array(
+                    [
+                        self.plan.combine(row[mask])
+                        for row, mask in zip(samples, valid)
+                    ]
+                )
+            self.tuner.tell(estimates)
+            if tracer is not None:
+                tracer.emit(
+                    "batch.told",
+                    size=int(len(estimates)),
+                    best=float(np.min(estimates)),
+                )
+            if self.controller is not None:
+                self.controller.observe_batch(samples)
 
         if self.tuner.converged and converged_at is None:
             converged_at = len(step_times)

@@ -64,20 +64,23 @@ class NoiseModel(ABC):
         out = flat + self.sample_noise(flat, gen)
         return out.reshape(arr.shape)
 
-    def observe_repeated(
-        self, f: float, n: int, rng: np.random.Generator
+    def observe_waves(
+        self, f: np.ndarray, starts: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
-        """*n* successive one-point observations of one noise-free cost *f*.
+        """Observed costs of successive waves of noise-free costs *f*.
 
-        RNG contract: the result, and *rng*'s state afterwards, equal *n*
-        calls of :meth:`observe_batch` on the one-element array ``[f]``.
-        This base version makes exactly those calls, so any model is
-        correct here; models whose one-element draws may be concatenated
-        (one vectorized draw of *n* consumes the generator exactly as *n*
-        draws of one) override it with a single draw.
+        Wave *i* is ``f[starts[i]:starts[i + 1]]`` (the last runs to the
+        end).  RNG contract: the result, and *rng*'s state afterwards, equal
+        one :meth:`observe_batch` call per wave, in order.  This base
+        version makes exactly those calls, so any model is correct here;
+        models whose draws may be concatenated (one vectorized draw over all
+        waves consumes the generator exactly as one draw per wave) override
+        it with a single draw.
         """
-        arr = np.array([float(f)])
-        return np.array([self.observe_batch(arr, rng)[0] for _ in range(n)])
+        bounds = [*starts.tolist(), f.size]
+        return np.concatenate(
+            [self.observe_batch(f[a:b], rng) for a, b in zip(bounds, bounds[1:])]
+        )
 
     def expected_observed(self, f: float | np.ndarray) -> float | np.ndarray:
         """E[y] under this model; default is the two-job Eq. (6)."""
@@ -96,12 +99,11 @@ class NoNoise(NoiseModel):
     def sample_noise(self, f: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return np.zeros_like(f)
 
-    def observe_repeated(
-        self, f: float, n: int, rng: np.random.Generator
+    def observe_waves(
+        self, f: np.ndarray, starts: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
         """One vectorized draw (none from *rng*); see the base contract."""
-        arr = np.full(n, float(f))
-        return arr + self.sample_noise(arr, rng)
+        return f + self.sample_noise(f, rng)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "NoNoise()"
@@ -138,14 +140,13 @@ class ParetoNoise(NoiseModel):
         u = rng.random(f.shape)
         return beta * (1.0 - u) ** self._neg_inv_alpha
 
-    def observe_repeated(
-        self, f: float, n: int, rng: np.random.Generator
+    def observe_waves(
+        self, f: np.ndarray, starts: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
-        """One vectorized draw of *n* uniforms, which consumes *rng* exactly
-        as *n* one-element draws (elementwise noise, so the truncated
-        subclass qualifies too); see the base contract."""
-        arr = np.full(n, float(f))
-        return arr + self.sample_noise(arr, rng)
+        """One vectorized draw of uniforms for every wave, which consumes
+        *rng* exactly as one draw per wave (elementwise noise, so the
+        truncated subclass qualifies too); see the base contract."""
+        return f + self.sample_noise(f, rng)
 
     def n_min(self, f: float | np.ndarray) -> float | np.ndarray:
         if self.rho == 0.0:

@@ -178,7 +178,8 @@ class TestWorkerPersistentState:
     @pytest.mark.parametrize(
         "trials",
         # 2 cells x 3 trials = 6 tasks < 2 jobs x 4: one task per chunk;
-        # 2 x 8 = 16 tasks: chunks of two, so workers run chunk siblings.
+        # 2 x 8 = 16 tasks: chunks of 4, 3 and 2 tasks lead, so workers run
+        # chunk siblings.
         [3, 8],
         ids=["unit-chunks", "multi-task-chunks"],
     )
@@ -309,9 +310,18 @@ class TestChunking:
         flat = [i for chunk in chunks for i in chunk]
         assert flat == list(range(10))
 
-    def test_default_targets_four_chunks_per_worker(self):
-        chunks = chunk_tasks(64, 2)
-        assert len(chunks) == 8
+    def test_guided_sizes_shrink_to_single_tasks(self):
+        # Each chunk takes 1/(2 jobs) of the tasks left, so no worker idles
+        # behind a long last chunk: non-increasing contiguous sizes, and the
+        # last `jobs` chunks hold one task each.
+        assert [len(c) for c in chunk_tasks(144, 2)][:4] == [36, 27, 20, 15]
+        for n_tasks, jobs in [(144, 2), (192, 2), (64, 3), (9, 1)]:
+            chunks = chunk_tasks(n_tasks, jobs)
+            sizes = [len(c) for c in chunks]
+            assert [i for c in chunks for i in c] == list(range(n_tasks))
+            assert sizes == sorted(sizes, reverse=True)
+            assert sizes[0] == n_tasks // (2 * jobs)
+            assert sizes[-jobs:] == [1] * jobs
 
     def test_small_sweeps_get_unit_chunks(self):
         # Below jobs*4 tasks, chunking would serialize work onto too few

@@ -2,11 +2,12 @@
 
 Once the tuner has converged on an evaluator that takes precomputed costs,
 the session observes the incumbent for all remaining steps with one
-``observe_repeated`` call.  Against the per-step loop (``batched_eval=
-False``) the record, the trace and the generator's final state must be
-identical, with and without a tracer and ``record_details``.  Models whose
-draws interleave (spike mixture) or carry state (Markov-modulated) stay on
-the base method's per-step loop and must match too.
+``observe_waves`` call over one-point waves.  Against the per-step loop
+(``batched_eval=False``) the record, the trace and the generator's final
+state must be identical, with and without a tracer and ``record_details``.
+Models whose draws interleave (spike mixture) or carry state
+(Markov-modulated) stay on the base method's per-wave loop and must match
+too.
 """
 
 import numpy as np
@@ -98,22 +99,35 @@ def test_tail_matches_with_tracer_and_details(noise):
 @pytest.mark.parametrize("noise", sorted(NOISES))
 def test_converged_session_observes_the_tail_once(noise, monkeypatch):
     calls = []
-    real = FunctionEvaluator.observe_repeated
+    real = FunctionEvaluator.observe_waves
 
-    def counting(self, f, n, rng):
-        calls.append(n)
-        return real(self, f, n, rng)
+    def counting(self, f, starts, rng):
+        calls.append(starts.copy())
+        return real(self, f, starts, rng)
 
-    monkeypatch.setattr(FunctionEvaluator, "observe_repeated", counting)
+    monkeypatch.setattr(FunctionEvaluator, "observe_waves", counting)
     result, _, _ = run_session(noise, 0, batched=True)
-    # One call covers every step from the first exploit after convergence.
-    assert len(calls) == 1
-    assert calls[0] == BUDGET - result.converged_at
+    # Every step of the fast path is observed through observe_waves, and
+    # one call of one-point waves covers every step from the first exploit
+    # after convergence.
+    assert sum(starts.size for starts in calls) == BUDGET
+    tail = BUDGET - result.converged_at
+    assert calls[-1].tolist() == list(range(tail))
     assert result.step_times.size == BUDGET
 
 
+def wave_layout(n):
+    """Wave starts for *n* observations in waves of 1, 2, 3, 1, 2, 3, ..."""
+    starts, at, size = [], 0, 1
+    while at < n:
+        starts.append(at)
+        at += size
+        size = size % 3 + 1
+    return np.array(starts)
+
+
 class TestNoiseModelContract:
-    """``observe_repeated`` equals one-element ``observe_batch`` calls."""
+    """``observe_waves`` equals one ``observe_batch`` call per wave."""
 
     MODELS = {
         **NOISES,
@@ -125,21 +139,42 @@ class TestNoiseModelContract:
     @pytest.mark.parametrize("model", sorted(MODELS))
     @pytest.mark.parametrize("n", [1, 2, 37, 400])
     def test_bitwise_equal_to_the_loop(self, model, n):
-        f = 2.718281828
-        block_model, loop_model = self.MODELS[model](), self.MODELS[model]()
-        gen, gen_loop = np.random.default_rng(n), np.random.default_rng(n)
-        block = block_model.observe_repeated(f, n, gen)
-        loop = np.array(
-            [loop_model.observe_batch(np.array([f]), gen_loop)[0] for _ in range(n)]
-        )
-        assert block.shape == (n,)
-        assert block.tobytes() == loop.tobytes()
-        assert gen.bit_generator.state == gen_loop.bit_generator.state
+        # one-point waves (the converged tail) and mixed wave sizes, over
+        # distinct noise-free costs
+        for starts in (np.arange(n), wave_layout(n)):
+            f = 2.718281828 + np.arange(n) / 7.0
+            block_model, loop_model = self.MODELS[model](), self.MODELS[model]()
+            gen, gen_loop = np.random.default_rng(n), np.random.default_rng(n)
+            block = block_model.observe_waves(f, starts, gen)
+            bounds = [*starts.tolist(), n]
+            loop = np.concatenate(
+                [loop_model.observe_batch(f[a:b], gen_loop) for a, b in zip(bounds, bounds[1:])]
+            )
+            assert block.shape == (n,)
+            assert block.tobytes() == loop.tobytes()
+            assert gen.bit_generator.state == gen_loop.bit_generator.state
 
     def test_only_concatenable_models_override(self):
-        base = NoiseModel.observe_repeated
-        for name in VECTORIZED:
-            assert type(NOISES[name]()).observe_repeated is not base
-        # draws interleave across streams / carry regime state
-        assert SpikeMixtureNoise.observe_repeated is base
-        assert MarkovModulatedNoise.observe_repeated is base
+        base = NoiseModel.observe_waves
+        overriding = {
+            name for name, make in self.MODELS.items()
+            if type(make()).observe_waves is not base
+        }
+        # the spike mixture's draws interleave across streams and the Markov
+        # model advances its regime once per wave, so both keep the loop
+        assert overriding == set(VECTORIZED) | {"pareto_rho0"}
+        assert TruncatedParetoNoise.observe_waves is ParetoNoise.observe_waves
+
+    @pytest.mark.parametrize("model", VECTORIZED)
+    def test_overrides_draw_once_through_sample_noise(self, model, monkeypatch):
+        noise = self.MODELS[model]()
+        draws = []
+        real = type(noise).sample_noise
+
+        def counting(self, f, rng):
+            draws.append(f.size)
+            return real(self, f, rng)
+
+        monkeypatch.setattr(type(noise), "sample_noise", counting)
+        noise.observe_waves(np.full(12, 3.0), wave_layout(12), np.random.default_rng(0))
+        assert draws == [12]
