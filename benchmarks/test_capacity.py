@@ -2,11 +2,11 @@
 
 The load generator drives the async binary server (the production
 serving mode) in closed loop across a session ramp — 64 / 256 / 1024
-logical sessions multiplexed over a few pipelined connections — with a
-real admission budget in front of the dispatch path.  Each point records
-sustained requests/sec, latency percentiles, and the shed fraction; the
-anchor point (256 sessions) is also measured on the JSON wire for the
-dialect comparison.
+logical sessions spread over a few lock-step connections, one client
+thread each — with a real admission budget in front of the dispatch
+path.  Each point records sustained requests/sec, latency percentiles,
+and the shed fraction; the anchor point (256 sessions) is also measured
+on the JSON wire for the dialect comparison.
 
 Two numbers are guarded by ``compare_bench``:
 

@@ -83,7 +83,6 @@ from repro.harmony import (
     DatabaseEvaluator,
     FunctionEvaluator,
     InProcessTransport,
-    PipelinedTcpClientTransport,
     SessionResult,
     TcpClientTransport,
     TuningClient,
@@ -161,7 +160,6 @@ __all__ = [
     "TuningClient",
     "InProcessTransport",
     "TcpClientTransport",
-    "PipelinedTcpClientTransport",
     "AsyncTcpServerTransport",
     # apps
     "GS2Surrogate",

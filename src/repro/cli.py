@@ -28,12 +28,7 @@ import numpy as np
 
 from repro.apps.database import PerformanceDatabase
 from repro.apps.gs2 import GS2Surrogate
-from repro.core.sampling import (
-    MeanEstimator,
-    MedianEstimator,
-    MinEstimator,
-    SamplingPlan,
-)
+from repro.core.sampling import ESTIMATORS, SamplingPlan
 from repro.experiments import _fmt
 from repro.experiments.common import TUNER_NAMES, tuner_factory
 from repro.experiments.parallel import EXECUTOR_NAMES, FAILURE_POLICIES
@@ -44,13 +39,6 @@ from repro.variability.heavytail import tail_report, truncate
 from repro.variability.models import NoNoise, ParetoNoise
 
 __all__ = ["main", "build_parser"]
-
-_ESTIMATORS = {
-    "min": MinEstimator,
-    "mean": MeanEstimator,
-    "median": MedianEstimator,
-}
-
 
 class _TuneCell:
     """Picklable session factory for ``tune --trials N`` sweeps.
@@ -92,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument("--alpha", type=float, default=1.7,
                         help="Pareto tail index of the noise")
     p_tune.add_argument("--k", type=int, default=1, help="samples per evaluation")
-    p_tune.add_argument("--estimator", choices=sorted(_ESTIMATORS), default="min")
+    p_tune.add_argument("--estimator", choices=sorted(ESTIMATORS), default="min")
     p_tune.add_argument("--budget", type=int, default=300,
                         help="application time steps")
     p_tune.add_argument("--db-fraction", type=float, default=1.0,
@@ -326,7 +314,7 @@ def _add_service_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tuner", choices=TUNER_NAMES, default="pro")
     parser.add_argument("--k", type=int, default=1,
                         help="samples per candidate (multi-sampling)")
-    parser.add_argument("--estimator", choices=sorted(_ESTIMATORS),
+    parser.add_argument("--estimator", choices=sorted(ESTIMATORS),
                         default="min")
     parser.add_argument("--seed", type=int, default=0)
     _add_wire_option(parser)
@@ -448,7 +436,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     noise = (
         ParetoNoise(rho=args.rho, alpha=args.alpha) if args.rho > 0 else NoNoise()
     )
-    plan = SamplingPlan(args.k, _ESTIMATORS[args.estimator]())
+    plan = SamplingPlan(args.k, ESTIMATORS[args.estimator]())
 
     if args.trials == 1:
         from repro.obs import trace as obs_trace
@@ -541,7 +529,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"error: reply_cache_size must be >= 1, got {args.reply_cache}",
               file=sys.stderr)
         return 2
-    plan = SamplingPlan(args.k, _ESTIMATORS[args.estimator]())
+    plan = SamplingPlan(args.k, ESTIMATORS[args.estimator]())
     metrics = MetricsRegistry(max_samples=4096)
     tracer = obs_trace.Tracer(label="server") if args.trace else None
     if args.wal_dir is not None:

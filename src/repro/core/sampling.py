@@ -28,6 +28,7 @@ __all__ = [
     "MeanEstimator",
     "MedianEstimator",
     "PercentileEstimator",
+    "ESTIMATORS",
     "SamplingPlan",
 ]
 
@@ -127,6 +128,15 @@ class PercentileEstimator(Estimator):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PercentileEstimator(q={self.q})"
+
+
+#: estimators addressable by name: the CLI's ``--estimator``, the
+#: ``open_session`` op and the plan spec of a WAL snapshot
+ESTIMATORS: dict[str, type[Estimator]] = {
+    "min": MinEstimator,
+    "mean": MeanEstimator,
+    "median": MedianEstimator,
+}
 
 
 @dataclass(frozen=True)

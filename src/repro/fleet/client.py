@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.harmony.client import TuningClient
-from repro.harmony.transport import PipelinedTcpClientTransport, TcpClientTransport
+from repro.harmony.transport import TcpClientTransport
 
 __all__ = ["FleetResolver", "fleet_client"]
 
@@ -41,7 +41,6 @@ class FleetResolver:
         timeout: float = 10.0,
         locate_timeout: float = 5.0,
         dial_attempts: int = 3,
-        pipelined: bool = False,
     ) -> None:
         if not session:
             raise ValueError("FleetResolver needs a non-empty session name")
@@ -50,7 +49,6 @@ class FleetResolver:
         self._timeout = float(timeout)
         self._locate_timeout = float(locate_timeout)
         self._dial_attempts = max(1, int(dial_attempts))
-        self._pipelined = bool(pipelined)
         #: (shard, host, port) of the last successful resolution
         self.last_shard: tuple[int, str, int] | None = None
         self._unreachable: int | None = None
@@ -92,11 +90,10 @@ class FleetResolver:
         return int(redirect["shard"]), str(redirect["host"]), int(redirect["port"])
 
     def __call__(self):
-        cls = PipelinedTcpClientTransport if self._pipelined else TcpClientTransport
         if self._cached is not None:
             shard, host, port = self._cached
             try:
-                transport = cls(host, port, timeout=self._timeout)
+                transport = TcpClientTransport(host, port, timeout=self._timeout)
             except OSError:
                 # The cached shard stopped answering: forget the route and
                 # re-resolve below, telling the coordinator who failed.
@@ -109,7 +106,7 @@ class FleetResolver:
         for attempt in range(self._dial_attempts):
             shard, host, port = self.resolve()
             try:
-                transport = cls(host, port, timeout=self._timeout)
+                transport = TcpClientTransport(host, port, timeout=self._timeout)
             except OSError:
                 # The shard the coordinator pointed us at does not answer.
                 # Re-resolve with the failure as a hint: the coordinator
@@ -133,16 +130,13 @@ def fleet_client(
     port: int,
     session: str,
     *,
-    pipelined: bool = False,
     timeout: float = 10.0,
     **client_kwargs: Any,
 ) -> TuningClient:
     """A :class:`TuningClient` bound to *session*, routed by the coordinator
     at ``host:port``.  Extra kwargs go to the ``TuningClient`` constructor
     (``nonce``, ``reconnect_attempts``, ...)."""
-    resolver = FleetResolver(
-        host, port, session, timeout=timeout, pipelined=pipelined
-    )
+    resolver = FleetResolver(host, port, session, timeout=timeout)
     return TuningClient(
         transport_factory=resolver, session=session, **client_kwargs
     )

@@ -322,11 +322,9 @@ class FleetSupervisor:
 
     # -- conveniences --------------------------------------------------------------
 
-    def client(self, session: str, *, pipelined: bool = False) -> TuningClient:
+    def client(self, session: str) -> TuningClient:
         assert self.coordinator_port is not None, "call start() first"
-        return fleet_client(
-            self.host, self.coordinator_port, session, pipelined=pipelined
-        )
+        return fleet_client(self.host, self.coordinator_port, session)
 
     def fleet_status(self) -> dict:
         return self.coordinator.handle({"op": "fleet_status"})

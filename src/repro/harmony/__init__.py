@@ -16,8 +16,8 @@ wall-clock time of the whole run (Eqs. 1–2), not the final configuration.
   :mod:`repro.harmony.transport` / :mod:`repro.harmony.aio` — a
   client/server tuning service in the Active Harmony mould (register
   tunables, fetch assignments, report measurements) hosting many named
-  sessions, served by one asyncio TCP server and reached through
-  in-process, lock-step TCP, or pipelined client transports
+  sessions, served by one asyncio TCP server and reached through an
+  in-process or a lock-step TCP client transport
   (:mod:`repro.harmony.protocol` owns the JSON-lines wire format and
   :mod:`repro.harmony.binproto` the negotiated binary fast path the
   server sniffs on the same port);
@@ -40,11 +40,7 @@ from repro.harmony.server import ServerSession, TuningServer
 from repro.harmony.client import ServerRedirect, TuningClient
 from repro.harmony.protocol import MAX_LINE_BYTES, PROTOCOL_VERSION
 from repro.harmony.binproto import BINPROTO_VERSION
-from repro.harmony.transport import (
-    InProcessTransport,
-    PipelinedTcpClientTransport,
-    TcpClientTransport,
-)
+from repro.harmony.transport import InProcessTransport, TcpClientTransport
 from repro.harmony.aio import AsyncTcpServerTransport
 from repro.harmony.wal import WalWriter, recover_server, replay_dir
 from repro.harmony.warmstart import warm_start_points, warm_started_pro
@@ -63,7 +59,6 @@ __all__ = [
     "TuningClient",
     "InProcessTransport",
     "TcpClientTransport",
-    "PipelinedTcpClientTransport",
     "AsyncTcpServerTransport",
     "MAX_LINE_BYTES",
     "PROTOCOL_VERSION",

@@ -17,9 +17,9 @@ transport cannot drift apart:
   order.  Batching amortizes syscalls and JSON overhead; it is a framing
   concern, so :func:`dispatch` unwraps it before the server sees anything.
 * **pipelining** — a client may tag any message with a ``seq`` field; the
-  response echoes it verbatim, which lets a pipelining client keep many
-  requests in flight over one socket and match responses out of a single
-  reader loop.
+  response echoes it verbatim.  The server answers one connection's
+  requests in order, so a client may send several before it reads the
+  replies and match them by ``seq``.
 * **exactly-once** — a client may stamp ``fetch``/``report`` messages with
   a monotone per-client ``cseq``; the server keeps a per-client high-water
   mark (persisted in its WAL, see :mod:`repro.harmony.wal`) plus a bounded

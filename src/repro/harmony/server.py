@@ -48,12 +48,7 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from repro.core.base import BatchTuner
-from repro.core.sampling import (
-    MeanEstimator,
-    MedianEstimator,
-    MinEstimator,
-    SamplingPlan,
-)
+from repro.core.sampling import ESTIMATORS, SamplingPlan
 from repro.harmony.protocol import (
     PROTOCOL_VERSION,
     error_response,
@@ -72,19 +67,9 @@ __all__ = [
 #: the session addressed when a message carries no ``session`` field
 DEFAULT_SESSION = "default"
 
-#: estimators a remote ``open_session`` may ask for by name
-_SESSION_ESTIMATORS = {
-    "min": MinEstimator,
-    "mean": MeanEstimator,
-    "median": MedianEstimator,
-}
-
-#: reverse map used when serializing a session's plan into a WAL snapshot
-_ESTIMATOR_NAMES = {cls: name for name, cls in _SESSION_ESTIMATORS.items()}
-
-#: cached replies kept per client for exactly-once retries; a lock-step or
-#: pipelined client retries only its most recent window, so a small cache
-#: bounds memory without ever evicting a reply that can still be asked for
+#: cached replies kept per client for exactly-once retries; a lock-step
+#: client retries only its most recent request, so a small cache bounds
+#: memory without ever evicting a reply that can still be asked for
 _REPLY_CACHE = 64
 
 #: the cached replies of the two report ACKs, shared by every cache entry
@@ -111,16 +96,18 @@ class SessionMovedAway(Exception):
 
 def _plan_spec(plan: SamplingPlan) -> dict[str, Any] | None:
     """JSON form of a plan, or None when its estimator has no wire name."""
-    name = _ESTIMATOR_NAMES.get(type(plan.estimator))
-    if name is None:
-        return None
-    return {"k": int(plan.k), "estimator": name}
+    for name, cls in ESTIMATORS.items():
+        if type(plan.estimator) is cls:
+            return {"k": int(plan.k), "estimator": name}
+    return None
 
 
 def _plan_from_spec(spec: Mapping[str, Any] | None) -> SamplingPlan | None:
+    """The plan a spec's ``k`` and ``estimator`` name (defaults 1 and
+    ``"min"``), or None for an empty spec or an unknown estimator."""
     if not spec:
         return None
-    estimator_cls = _SESSION_ESTIMATORS.get(spec.get("estimator", "min"))
+    estimator_cls = ESTIMATORS.get(spec.get("estimator", "min"))
     if estimator_cls is None:
         return None
     return SamplingPlan(int(spec.get("k", 1)), estimator_cls())
@@ -1054,47 +1041,19 @@ class TuningServer:
             report["pending"] = int(self.admission.pending)
         return report
 
-    def open_session(
-        self,
-        name: str,
-        *,
-        space: ParameterSpace | None = None,
-        plan: SamplingPlan | None = None,
-    ) -> ServerSession:
-        """Create (or return, if identical-named) the session *name*."""
-        with self._sessions_lock:
-            existing = self._sessions.get(name)
-            if existing is not None:
-                return existing
-            session = self._new_session(name, space=space, plan=plan)
-            self._sessions[name] = session
-            self._moved.discard(name)
-        record: dict[str, Any] = {"op": "open_session", "session": name}
-        spec = _plan_spec(plan) if plan is not None else None
-        if spec is not None:
-            record.update(spec)
-        if space is not None:
-            from repro.space.serialize import space_to_spec
-
-            record["params"] = space_to_spec(space)
-        self.wal_append({"t": "op", "m": record})
-        self._emit("server.session", action="open", session=name)
-        return session
-
     def _op_open_session(self, message: Mapping[str, Any]) -> dict[str, Any]:
         name = message.get("session")
         if not isinstance(name, str) or not name:
             return error_response("open_session needs a non-empty 'session' name")
         plan = self._default_plan
-        if "k" in message or "estimator" in message:
-            estimator_name = message.get("estimator", "min")
-            estimator_cls = _SESSION_ESTIMATORS.get(estimator_name)
-            if estimator_cls is None:
+        named_plan = "k" in message or "estimator" in message
+        if named_plan:
+            plan = _plan_from_spec(message)
+            if plan is None:
                 return error_response(
-                    f"unknown estimator {estimator_name!r}; "
-                    f"known: {sorted(_SESSION_ESTIMATORS)}"
+                    f"unknown estimator {message['estimator']!r}; "
+                    f"known: {sorted(ESTIMATORS)}"
                 )
-            plan = SamplingPlan(int(message.get("k", 1)), estimator_cls())
         space = None
         if message.get("params"):
             space = space_from_spec(message["params"])
@@ -1105,9 +1064,8 @@ class TuningServer:
                 self._moved.discard(name)
         if created:
             record: dict[str, Any] = {"op": "open_session", "session": name}
-            if "k" in message or "estimator" in message:
-                record["k"] = int(message.get("k", 1))
-                record["estimator"] = message.get("estimator", "min")
+            if named_plan:
+                record.update(_plan_spec(plan))
             if message.get("params"):
                 record["params"] = message["params"]
             self.wal_append({"t": "op", "m": record})

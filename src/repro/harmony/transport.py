@@ -1,21 +1,20 @@
 """Transports carrying protocol messages between clients and the server.
 
-Several implementations behind one interface:
+Two implementations behind one interface:
 
 * :class:`InProcessTransport` — direct method calls (zero overhead; used by
   the simulation experiments and most tests);
-* :class:`TcpClientTransport` — the JSON-lines protocol (see
-  :mod:`repro.harmony.protocol`) over a TCP socket, one lock-step round
-  trip at a time;
-* :class:`PipelinedTcpClientTransport` — same wire format, but keeps many
-  sequence-numbered requests in flight over one socket, so P logical
-  requesters no longer pay P sequential round trips.
+* :class:`TcpClientTransport` — one TCP socket carrying both wires, the
+  JSON-lines protocol (see :mod:`repro.harmony.protocol`) and the binary
+  ``fetch_many``/``report_many`` frames (see :mod:`repro.harmony.binproto`),
+  one lock-step round trip at a time.
 
 The server side is :class:`repro.harmony.aio.AsyncTcpServerTransport`
 (one event loop, a coroutine per connection).  It answers every recv
 chunk through the staged pipeline defined here (:func:`prepare_items` →
 :func:`plan_admission` → :func:`respond_prepared` →
-:func:`finish_admission`, or :func:`respond_frames` for all four).
+:func:`finish_admission`, or :func:`respond_frames` for all four), in
+request order, echoing each request's ``seq``.
 
 All TCP endpoints set ``TCP_NODELAY`` — Nagle's algorithm only adds latency
 to a 1-line request/response protocol — and the server rejects frames
@@ -29,8 +28,6 @@ import json
 import socket
 import threading
 from abc import ABC, abstractmethod
-from concurrent.futures import Future
-from itertools import count
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -42,7 +39,6 @@ __all__ = [
     "Transport",
     "InProcessTransport",
     "TcpClientTransport",
-    "PipelinedTcpClientTransport",
     "n_wire_chunks",
     "prepare_items",
     "plan_admission",
@@ -267,8 +263,8 @@ class Transport(ABC):
     ) -> list[dict[str, Any]]:
         """Deliver several messages, returning responses in order.
 
-        The base implementation is sequential round trips; TCP transports
-        override it with a single batch frame so the syscall and JSON
+        The base implementation is sequential round trips; the TCP transport
+        overrides it with a single batch frame so the syscall and JSON
         framing costs are paid once per group instead of once per message.
         """
         return [self.request(m) for m in messages]
@@ -280,7 +276,7 @@ class Transport(ABC):
 class InProcessTransport(Transport):
     """Directly invokes a server living in the same process.
 
-    Honors the same ack-implies-durable contract as the TCP transports:
+    Honors the same ack-implies-durable contract as the TCP transport:
     each request (or batch) group-commits the server's WAL before the
     response is returned to the caller.
     """
@@ -313,118 +309,20 @@ def n_wire_chunks(n: int) -> int:
     return (n + protocol.MAX_BATCH_MSGS - 1) // protocol.MAX_BATCH_MSGS
 
 
-class _BinaryWireOps:
-    """Chunked binary fetch/report shared by both TCP client transports.
+class TcpClientTransport(Transport):
+    """Client side of both wires over one TCP socket, lock-step.
 
-    Built on two primitives the concrete transport supplies: a per-frame
-    request (lock-step) or a submit-then-gather override of
-    :meth:`_request_frames` (pipelined).  Frame builders are callables
-    ``seq -> bytes`` so the pipelined client can stamp its own sequence
-    numbers.
+    JSON messages travel as lines (:mod:`repro.harmony.protocol`), the
+    binary ``fetch_many``/``report_many`` chunks as :mod:`binproto` frames.
+    Each request waits for its reply before the next one is sent, the way
+    every rank of the paper's model fetches, runs one time step and
+    reports before it fetches again; threads sharing one transport take
+    turns on its lock.
     """
 
     #: clients check this (plus the server's register advertisement) before
     #: switching their batch traffic to binary frames
     supports_binary = True
-
-    def _request_frames(self, builders: Sequence[Any]) -> list[tuple]:
-        return [self.request_frame(build(0)) for build in builders]
-
-    def request_frame(self, frame: bytes) -> tuple:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    @staticmethod
-    def _check_frame(resp: tuple, expected: str, op: str) -> tuple:
-        """*resp* if it is the *expected* reply to *op*; raise otherwise.
-
-        A busy shed raises :class:`protocol.ServerBusy`, a migrated session
-        :class:`protocol.SessionMoved`, and an ERROR frame (or any other
-        reply) a :class:`RuntimeError`.
-        """
-        kind = resp[0]
-        if kind == expected:
-            return resp
-        if kind == "busy":
-            raise protocol.ServerBusy(retry_after=resp[1])
-        if kind == "moved":
-            raise protocol.SessionMoved(resp[1])
-        if kind == "error":
-            raise RuntimeError(f"tuning server error: {resp[1]}")
-        raise RuntimeError(f"unexpected {kind} response to {op}")
-
-    def fetch_many_wire(
-        self,
-        session: str,
-        client_id: int,
-        n: int,
-        *,
-        cseqs: Sequence[int] | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Fetch *n* configurations over the binary wire.
-
-        Returns ``(points, tokens)`` — an ``(n, dim)`` float64 block and an
-        ``(n,)`` int32 token block — chunking at
-        :data:`protocol.MAX_BATCH_MSGS` like the JSON batch path.  *cseqs*
-        (one per chunk, see :func:`n_wire_chunks`) makes each chunk an
-        exactly-once v2 frame, so a retried fetch gets the original
-        assignment block back instead of perturbing the stream.
-        """
-        builders = []
-        for idx, start in enumerate(range(0, n, protocol.MAX_BATCH_MSGS)):
-            count = min(protocol.MAX_BATCH_MSGS, n - start)
-            cseq = cseqs[idx] if cseqs is not None else None
-            builders.append(
-                lambda seq, count=count, cseq=cseq: binproto.encode_fetch_many(
-                    seq, session, client_id, count, cseq=cseq
-                )
-            )
-        points_parts: list[np.ndarray] = []
-        tokens_parts: list[np.ndarray] = []
-        for resp in self._request_frames(builders):
-            _, tokens, points = self._check_frame(resp, "points", "fetch_many")
-            tokens_parts.append(tokens)
-            points_parts.append(points)
-        if len(points_parts) == 1:
-            return points_parts[0], tokens_parts[0]
-        return np.concatenate(points_parts), np.concatenate(tokens_parts)
-
-    def report_many_wire(
-        self,
-        session: str,
-        client_id: int,
-        step: int,
-        tokens: np.ndarray,
-        times: np.ndarray,
-        *,
-        cseqs: Sequence[int] | None = None,
-    ) -> tuple[int, int]:
-        """Report paired token/time arrays; returns ``(n_ok, n_stale)``.
-
-        *cseqs* (one per chunk) makes each chunk exactly-once: replaying
-        the same call after a reconnect is acked without double-counting.
-        """
-        tokens = np.ascontiguousarray(tokens, dtype="<i4")
-        times = np.ascontiguousarray(times, dtype="<f8")
-        builders = []
-        for idx, start in enumerate(range(0, tokens.size, protocol.MAX_BATCH_MSGS)):
-            tok = tokens[start:start + protocol.MAX_BATCH_MSGS]
-            tim = times[start:start + protocol.MAX_BATCH_MSGS]
-            cseq = cseqs[idx] if cseqs is not None else None
-            builders.append(
-                lambda seq, tok=tok, tim=tim, cseq=cseq: binproto.encode_report_many(
-                    seq, session, client_id, step, tok, tim, cseq=cseq
-                )
-            )
-        n_ok = n_stale = 0
-        for resp in self._request_frames(builders):
-            _, ok, stale = self._check_frame(resp, "ack", "report_many")
-            n_ok += ok
-            n_stale += stale
-        return n_ok, n_stale
-
-
-class TcpClientTransport(_BinaryWireOps, Transport):
-    """Client side of the JSON-lines protocol (lock-step round trips)."""
 
     def __init__(self, host: str, port: int, timeout: float = 5.0) -> None:
         self._sock = socket.create_connection((host, port), timeout=timeout)
@@ -463,6 +361,89 @@ class TcpClientTransport(_BinaryWireOps, Transport):
                 results.extend(response["results"])
         return results
 
+    @staticmethod
+    def _check_frame(resp: tuple, expected: str, op: str) -> tuple:
+        """*resp* if it is the *expected* reply to *op*; raise otherwise.
+
+        A busy shed raises :class:`protocol.ServerBusy`, a migrated session
+        :class:`protocol.SessionMoved`, and an ERROR frame (or any other
+        reply) a :class:`RuntimeError`.
+        """
+        kind = resp[0]
+        if kind == expected:
+            return resp
+        if kind == "busy":
+            raise protocol.ServerBusy(retry_after=resp[1])
+        if kind == "moved":
+            raise protocol.SessionMoved(resp[1])
+        if kind == "error":
+            raise RuntimeError(f"tuning server error: {resp[1]}")
+        raise RuntimeError(f"unexpected {kind} response to {op}")
+
+    def fetch_many_wire(
+        self,
+        session: str,
+        client_id: int,
+        n: int,
+        *,
+        cseqs: Sequence[int] | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Fetch *n* configurations over the binary wire.
+
+        Returns ``(points, tokens)`` — an ``(n, dim)`` float64 block and an
+        ``(n,)`` int32 token block — one round trip per
+        :data:`protocol.MAX_BATCH_MSGS` chunk, like the JSON batch path.
+        *cseqs* (one per chunk, see :func:`n_wire_chunks`) makes each chunk
+        an exactly-once v2 frame, so a retried fetch gets the original
+        assignment block back instead of perturbing the stream.
+        """
+        points_parts: list[np.ndarray] = []
+        tokens_parts: list[np.ndarray] = []
+        for idx, start in enumerate(range(0, n, protocol.MAX_BATCH_MSGS)):
+            frame = binproto.encode_fetch_many(
+                0, session, client_id, min(protocol.MAX_BATCH_MSGS, n - start),
+                cseq=cseqs[idx] if cseqs is not None else None,
+            )
+            _, tokens, points = self._check_frame(
+                self.request_frame(frame), "points", "fetch_many"
+            )
+            tokens_parts.append(tokens)
+            points_parts.append(points)
+        if len(points_parts) == 1:
+            return points_parts[0], tokens_parts[0]
+        return np.concatenate(points_parts), np.concatenate(tokens_parts)
+
+    def report_many_wire(
+        self,
+        session: str,
+        client_id: int,
+        step: int,
+        tokens: np.ndarray,
+        times: np.ndarray,
+        *,
+        cseqs: Sequence[int] | None = None,
+    ) -> tuple[int, int]:
+        """Report paired token/time arrays; returns ``(n_ok, n_stale)``.
+
+        *cseqs* (one per chunk) makes each chunk exactly-once: replaying
+        the same call after a reconnect is acked without double-counting.
+        """
+        tokens = np.ascontiguousarray(tokens, dtype="<i4")
+        times = np.ascontiguousarray(times, dtype="<f8")
+        n_ok = n_stale = 0
+        for idx, start in enumerate(range(0, tokens.size, protocol.MAX_BATCH_MSGS)):
+            stop = start + protocol.MAX_BATCH_MSGS
+            frame = binproto.encode_report_many(
+                0, session, client_id, step, tokens[start:stop], times[start:stop],
+                cseq=cseqs[idx] if cseqs is not None else None,
+            )
+            _, ok, stale = self._check_frame(
+                self.request_frame(frame), "ack", "report_many"
+            )
+            n_ok += ok
+            n_stale += stale
+        return n_ok, n_stale
+
     def close(self) -> None:
         try:
             self._file.close()
@@ -470,161 +451,6 @@ class TcpClientTransport(_BinaryWireOps, Transport):
             self._sock.close()
 
     def __enter__(self) -> "TcpClientTransport":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-
-class PipelinedTcpClientTransport(_BinaryWireOps, Transport):
-    """Keeps many requests in flight over one socket.
-
-    Every outgoing message is tagged with a ``seq`` number the server
-    echoes back; a single reader thread matches responses to waiting
-    futures, so callers overlap their round trips instead of serializing
-    on the socket.  ``max_inflight`` bounds the outstanding window (back-
-    pressure against a slow server).  The reader splits the raw byte
-    stream with :class:`binproto.FrameSplitter`, so JSON lines and binary
-    frames can interleave freely on one connection.
-
-    :meth:`submit` returns a future; :meth:`request` is submit-and-wait;
-    :meth:`request_many` submits a whole group and gathers it, batching
-    each :data:`protocol.MAX_BATCH_MSGS`-sized chunk into one wire frame.
-    """
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        timeout: float = 10.0,
-        *,
-        max_inflight: int = 64,
-    ) -> None:
-        self.timeout = timeout
-        self._sock = socket.create_connection((host, port), timeout=timeout)
-        _set_nodelay(self._sock)
-        self._seq = count()
-        self._pending: dict[int, Future] = {}
-        self._pending_lock = threading.Lock()
-        self._write_lock = threading.Lock()
-        self._inflight = threading.BoundedSemaphore(max_inflight)
-        self._closed = False
-        self._reader = threading.Thread(target=self._read_loop, daemon=True)
-        self._reader.start()
-
-    # -- reader side --------------------------------------------------------------
-
-    def _resolve(self, seq: Any, result: Any) -> None:
-        with self._pending_lock:
-            future = self._pending.pop(seq, None)
-        if future is not None:
-            self._inflight.release()
-            future.set_result(result)
-
-    def _read_loop(self) -> None:
-        error: Exception | None = None
-        splitter = binproto.FrameSplitter()
-        try:
-            while True:
-                try:
-                    chunk = self._sock.recv(65536)
-                except socket.timeout:
-                    # The socket's timeout bounds sends; for the reader it
-                    # only means the connection was idle that long.
-                    if self._closed:
-                        raise
-                    continue
-                if not chunk:
-                    error = ConnectionError("server closed the connection")
-                    break
-                for item in splitter.feed(chunk):
-                    if item[0] == "json":
-                        response = json.loads(item[1].decode("utf-8"))
-                        self._resolve(response.get("seq"), response)
-                    elif item[0] == "bin":
-                        _, msg_type, seq, payload = item
-                        self._resolve(seq, binproto.decode_response(msg_type, payload))
-                    else:  # oversized: the stream is no longer in sync
-                        raise ConnectionError("oversized frame from server")
-        except (OSError, ValueError) as exc:
-            error = exc if not self._closed else ConnectionError("transport closed")
-        with self._pending_lock:
-            pending, self._pending = self._pending, {}
-        for future in pending.values():
-            self._inflight.release()
-            future.set_exception(
-                error if error is not None else ConnectionError("reader stopped")
-            )
-
-    # -- writer side --------------------------------------------------------------
-
-    def submit(self, message: Mapping[str, Any]) -> "Future[dict[str, Any]]":
-        """Send *message* now; the returned future resolves to its response."""
-        return self.submit_frame(
-            lambda seq: protocol.encode_line(dict(message, seq=seq))
-        )
-
-    def submit_frame(self, build: Any) -> "Future[Any]":
-        """Send one frame built by ``build(seq)``; returns its future.
-
-        The frame is a binary frame or a JSON line carrying ``seq``; the
-        future resolves to the decoded response tuple or dict.
-        """
-        if self._closed:
-            raise ConnectionError("transport closed")
-        seq = next(self._seq)
-        # Built before a slot is taken: a message that fails to encode
-        # must not leave an in-flight slot that no response will free.
-        frame = build(seq)
-        future: Future = Future()
-        self._inflight.acquire()
-        with self._pending_lock:
-            self._pending[seq] = future
-        try:
-            with self._write_lock:
-                self._sock.sendall(frame)
-        except OSError as exc:
-            with self._pending_lock:
-                removed = self._pending.pop(seq, None)
-            if removed is not None:
-                self._inflight.release()
-            raise ConnectionError(f"send failed: {exc}") from exc
-        return future
-
-    def _request_frames(self, builders: Sequence[Any]) -> list[tuple]:
-        futures = [self.submit_frame(build) for build in builders]
-        return [f.result(timeout=self.timeout) for f in futures]
-
-    def request(self, message: Mapping[str, Any]) -> dict[str, Any]:
-        return self.submit(message).result(timeout=self.timeout)
-
-    def request_many(
-        self, messages: Sequence[Mapping[str, Any]]
-    ) -> list[dict[str, Any]]:
-        msgs = [dict(m) for m in messages]
-        futures = []
-        for start in range(0, len(msgs), protocol.MAX_BATCH_MSGS):
-            chunk = msgs[start:start + protocol.MAX_BATCH_MSGS]
-            futures.append((self.submit({"op": "batch", "msgs": chunk}), len(chunk)))
-        results: list[dict[str, Any]] = []
-        for future, n in futures:
-            response = future.result(timeout=self.timeout)
-            if not response.get("ok", False):
-                results.extend(response for _ in range(n))
-            else:
-                results.extend(response["results"])
-        return results
-
-    def close(self) -> None:
-        self._closed = True
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        self._sock.close()
-        self._reader.join(timeout=2.0)
-
-    def __enter__(self) -> "PipelinedTcpClientTransport":
         return self
 
     def __exit__(self, *exc: object) -> None:

@@ -50,7 +50,8 @@ before it.
 * ``"batch"`` (default) — appends are buffered; :meth:`WalWriter.commit`
   (called by every transport once per received chunk, *before* responses
   are written back) flushes and fsyncs the whole group.  One fsync
-  amortizes over a pipelined burst; an acked operation is always durable.
+  amortizes over every frame of the chunk and every message of a batch
+  frame; an acked operation is always durable.
 * ``"off"`` — commit flushes to the OS but never fsyncs.  Still safe
   against ``kill -9`` of the server process (the page cache survives);
   only an OS crash or power loss can lose acked operations.
@@ -401,10 +402,6 @@ def truncate_torn_tail(stats: dict) -> None:
         fh.truncate(torn["valid_bytes"])
         fh.flush()
         os.fsync(fh.fileno())
-
-
-#: backwards-compat alias (pre-fleet name)
-_truncate_torn_tail = truncate_torn_tail
 
 
 # -- recovery ---------------------------------------------------------------------

@@ -20,10 +20,10 @@ Everything is seeded: the arrival schedule, the session→worker pinning,
 and the synthetic workload are all deterministic given the config, so a
 capacity number is a *reproduction*, not an anecdote.
 
-One host thread per connection multiplexes many logical sessions over
-one socket (the pipelined transport), which is how thousands of sessions
-fit on a small CI box: concurrency lives in the protocol, not in OS
-threads.
+Each connection is one lock-step :class:`TcpClientTransport` driven by
+one host thread, which takes its share of the logical sessions round by
+round, so thousands of sessions fit on a small CI box: at most
+``connections`` requests are in flight, however many sessions there are.
 """
 
 from __future__ import annotations
@@ -36,10 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.harmony.client import ServerBusy, TuningClient
-from repro.harmony.transport import (
-    PipelinedTcpClientTransport,
-    TcpClientTransport,
-)
+from repro.harmony.transport import TcpClientTransport
 from repro.loadgen.arrivals import ARRIVALS, interarrival_times
 from repro.loadgen.slo import LatencyRecorder, SloPolicy
 from repro.space import IntParameter, ParameterSpace
@@ -160,10 +157,11 @@ class LoadGenerator:
 
     # -- plumbing -------------------------------------------------------------
 
-    def _dial(self):
-        if self.config.wire == "binary":
-            return PipelinedTcpClientTransport(self.host, self.port, timeout=self.timeout)
-        return TcpClientTransport(self.host, self.port, timeout=self.timeout)
+    def _dial(self) -> TcpClientTransport:
+        transport = TcpClientTransport(self.host, self.port, timeout=self.timeout)
+        # The JSON wire declines the binary frames a server offers at register.
+        transport.supports_binary = self.config.wire == "binary"
+        return transport
 
     def _session_names(self) -> list[str]:
         return [f"{self.config.session_prefix}-{i}" for i in range(self.config.sessions)]

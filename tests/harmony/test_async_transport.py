@@ -11,15 +11,12 @@ import pytest
 
 from repro.core.pro import ParallelRankOrdering
 from repro.core.sampling import SamplingPlan
+from repro.harmony import binproto
 from repro.harmony.admission import AdmissionController
 from repro.harmony.aio import AsyncTcpServerTransport
 from repro.harmony.client import TuningClient
 from repro.harmony.server import TuningServer
-from repro.harmony.transport import (
-    InProcessTransport,
-    PipelinedTcpClientTransport,
-    TcpClientTransport,
-)
+from repro.harmony.transport import InProcessTransport, TcpClientTransport
 from repro.obs import Tracer, canonical_events
 from repro.space import IntParameter, ParameterSpace
 
@@ -68,49 +65,57 @@ class TestAsyncRoundTrips:
                     )
         assert server.n_reports == 80
 
-    def test_pipelined_client(self):
+    def test_pipelined_frames_are_answered_in_order(self):
+        """Several JSON lines and a binary frame sent in one ``sendall``
+        (one recv chunk on the server) come back in request order, each
+        reply echoing its request's ``seq``."""
         server = make_server()
         with AsyncTcpServerTransport(server, port=0) as tcp:
-            with PipelinedTcpClientTransport("127.0.0.1", tcp.port) as transport:
+            with TcpClientTransport("127.0.0.1", tcp.port) as transport:
                 client = TuningClient(transport)
                 client.register(make_space())
-                # Many status queries genuinely in flight at once.
-                futures = [
-                    transport.submit({"op": "status"}) for _ in range(32)
-                ]
-                responses = [f.result(timeout=10) for f in futures]
-                assert all(r["ok"] for r in responses)
-                # And the ordinary tuning loop still works on top.
-                for step in range(30):
-                    configs = client.fetch_many(2)
-                    client.report_many([objective(c) for c in configs], step=step)
-        assert server.n_reports == 60
+            with socket.create_connection(("127.0.0.1", tcp.port), timeout=10) as s:
+                s.sendall(
+                    b"".join(
+                        json.dumps({"op": "status", "seq": seq}).encode() + b"\n"
+                        for seq in (11, 12)
+                    )
+                    + binproto.encode_fetch_many(13, "default", client.client_id, 3)
+                    + json.dumps({"op": "status", "seq": 14}).encode() + b"\n"
+                )
+                file = s.makefile("rb")
+                first, second = (json.loads(file.readline()) for _ in range(2))
+                msg_type, seq, payload = binproto.read_frame(file)
+                last = json.loads(file.readline())
+        assert [first["seq"], second["seq"], last["seq"]] == [11, 12, 14]
+        assert first["ok"] and second["ok"] and last["ok"]
+        assert seq == 13
+        kind, tokens, points = binproto.decode_response(msg_type, payload)
+        assert kind == "points" and len(tokens) == 3 and points.shape == (3, 2)
 
-    def test_pipelined_client_survives_idle_time(self):
-        """The socket timeout bounds sends, not silence: a connection left
-        idle for longer than ``timeout`` still answers the next request."""
+    def test_idle_client_answers_next_request(self):
+        """The socket timeout bounds each round trip, not the silence
+        between them: a connection left idle for longer than ``timeout``
+        still answers the next request."""
         with AsyncTcpServerTransport(make_server(), port=0) as tcp:
-            with PipelinedTcpClientTransport(
-                "127.0.0.1", tcp.port, timeout=0.3
-            ) as transport:
+            with TcpClientTransport("127.0.0.1", tcp.port, timeout=0.3) as transport:
                 assert transport.request({"op": "status"})["ok"]
                 time.sleep(0.6)
-                assert transport._reader.is_alive()
                 assert transport.request({"op": "status"})["ok"]
 
-    def test_unencodable_message_frees_its_inflight_slot(self):
+    def test_unencodable_message_raises_before_sending(self):
+        """A message that fails to encode raises ``TypeError`` before any
+        byte is sent, so the connection stays in step and usable."""
         with AsyncTcpServerTransport(make_server(), port=0) as tcp:
-            with PipelinedTcpClientTransport(
-                "127.0.0.1", tcp.port, timeout=10, max_inflight=2
-            ) as transport:
+            with TcpClientTransport("127.0.0.1", tcp.port, timeout=10) as transport:
                 for _ in range(3):
                     with pytest.raises(TypeError):
-                        transport.submit({"op": "status", "bad": object()})
-                assert transport._pending == {}
-                # Both slots are still free: this would block forever if a
-                # failed encode had kept one.
-                futures = [transport.submit({"op": "status"}) for _ in range(2)]
-                assert all(f.result(timeout=10)["ok"] for f in futures)
+                        transport.request({"op": "status", "bad": object()})
+                responses = [
+                    transport.request({"op": "status", "seq": seq}) for seq in range(2)
+                ]
+        assert [r["seq"] for r in responses] == [0, 1]
+        assert all(r["ok"] for r in responses)
 
     def test_double_start_rejected(self):
         tcp = AsyncTcpServerTransport(make_server(), port=0)

@@ -33,11 +33,7 @@ from repro.harmony.binproto import (
 from repro.harmony.aio import AsyncTcpServerTransport
 from repro.harmony.client import TuningClient
 from repro.harmony.server import TuningServer
-from repro.harmony.transport import (
-    InProcessTransport,
-    PipelinedTcpClientTransport,
-    TcpClientTransport,
-)
+from repro.harmony.transport import InProcessTransport, TcpClientTransport
 from repro.obs import Tracer, canonical_events
 from repro.space import IntParameter, ParameterSpace
 
@@ -261,6 +257,25 @@ class TestNegotiation:
                 client.register(make_space())
                 assert client._binproto is True
 
+    def test_group_wider_than_one_frame_goes_chunk_by_chunk(self):
+        """A fetch/report group wider than ``MAX_BATCH_MSGS`` travels as one
+        frame per chunk, one round trip after another, and lands whole."""
+        n = protocol.MAX_BATCH_MSGS + 3
+        server = make_server()
+        frames = []
+        server.observe_binary = lambda op, n_msgs: frames.append((op, n_msgs))
+        with AsyncTcpServerTransport(server, port=0) as tcp:
+            with TcpClientTransport("127.0.0.1", tcp.port) as t:
+                client = TuningClient(t)
+                client.register(make_space())
+                configs = client.fetch_many(n)
+                client.report_many([objective(c) for c in configs], step=0)
+        assert len(configs) == n and server.n_reports == n
+        assert frames == [
+            ("fetch_many", protocol.MAX_BATCH_MSGS), ("fetch_many", 3),
+            ("report_many", protocol.MAX_BATCH_MSGS), ("report_many", 3),
+        ]
+
     def test_json_wire_server_refuses_binary_frames(self):
         import socket
 
@@ -278,8 +293,7 @@ class TestNegotiation:
 
 
 class TestMixedClients:
-    @pytest.mark.parametrize("client_cls", [TcpClientTransport,
-                                            PipelinedTcpClientTransport])
+    @pytest.mark.parametrize("client_cls", [TcpClientTransport])
     def test_json_and_binary_clients_share_one_port(self, client_cls):
         server = make_server()
         width, rounds = 8, 30

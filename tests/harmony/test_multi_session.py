@@ -82,9 +82,12 @@ class TestSessionManagement:
                        "k": 3, "estimator": "median"})
         session = server.session("k3")
         assert session.plan.k == 3
-        assert not server.handle(
+        assert server.handle(
             {"op": "open_session", "session": "bad", "estimator": "bogus"}
-        )["ok"]
+        ) == {
+            "ok": False,
+            "error": "unknown estimator 'bogus'; known: ['mean', 'median', 'min']",
+        }
 
     def test_session_with_preset_params(self):
         server = make_server()

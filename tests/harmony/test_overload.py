@@ -27,7 +27,7 @@ from repro.harmony.admission import AdmissionController
 from repro.harmony.aio import AsyncTcpServerTransport
 from repro.harmony.client import ServerBusy, TuningClient
 from repro.harmony.server import TuningServer
-from repro.harmony.transport import PipelinedTcpClientTransport, TcpClientTransport
+from repro.harmony.transport import TcpClientTransport
 from repro.obs import MetricsRegistry
 from repro.space import IntParameter, ParameterSpace
 
@@ -195,7 +195,7 @@ class TestBusyWire:
     def test_binary_busy_frame_round_trips(self):
         server = make_server(service_delay_s=0.0, sessions=["s"])
         with AsyncTcpServerTransport(server) as transport:
-            with PipelinedTcpClientTransport("127.0.0.1", transport.port) as t:
+            with TcpClientTransport("127.0.0.1", transport.port) as t:
                 client = TuningClient(t, session="s", busy_retries=1000,
                                       busy_backoff_cap=0.01)
                 client.register(make_space())

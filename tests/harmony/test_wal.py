@@ -194,6 +194,12 @@ class TestRecovery:
         drive(client, 0, 8)
         expected = server.session("alpha").op_checkpoint()
         server.close_wal()
+        _, ops, _ = replay_dir(tmp_path)
+        logged = next(r["m"] for r in ops if r["m"].get("op") == "open_session")
+        assert list(logged.items()) == [
+            ("op", "open_session"), ("session", "alpha"),
+            ("k", 2), ("estimator", "mean"),
+        ]
         recovered = recover_server(factory, tmp_path)
         session = recovered.session("alpha")
         assert session is not None

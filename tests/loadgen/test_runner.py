@@ -69,6 +69,22 @@ class TestClosedLoop:
             report = LoadGenerator("127.0.0.1", transport.port, config).run()
         assert report.summary["ok"] == 2 * 2
 
+    @pytest.mark.parametrize("wire, binary", [("binary", True), ("json", False)])
+    def test_wire_picks_the_batch_dialect(self, wire, binary):
+        """Against one binary-capable server, batched rounds ride binary
+        frames on the binary wire and JSON batch frames on the JSON wire."""
+        server = make_server()
+        frames = []
+        server.observe_binary = lambda op, n_msgs: frames.append(op)
+        with AsyncTcpServerTransport(server) as transport:
+            config = LoadgenConfig(
+                mode="closed", sessions=2, steps=2, connections=1,
+                batch=4, wire=wire, slo=_LOOSE,
+            )
+            report = LoadGenerator("127.0.0.1", transport.port, config).run()
+        assert report.summary["ok"] == 2 * 2
+        assert bool(frames) is binary
+
     def test_admission_pressure_is_absorbed_by_retries(self):
         """A tiny budget under many sessions: work sheds, retries land it
         all anyway, and the report counts the absorbed sheds."""

@@ -216,6 +216,41 @@ class TestFleet:
         assert "bit-identical" in out
 
 
+class TestLoadgen:
+    @pytest.mark.parametrize("wire", ["binary", "json"])
+    def test_ramp_against_a_live_server(self, wire, tmp_path, capsys):
+        """Both ramp points finish every session's every step; the SLO is
+        generous, so a loaded host cannot flip the exit code."""
+        from repro.core.sampling import MinEstimator, SamplingPlan
+        from repro.experiments.common import tuner_factory
+        from repro.harmony.aio import AsyncTcpServerTransport
+        from repro.harmony.server import TuningServer
+        from repro.loadgen import loadgen_space
+
+        server = TuningServer(
+            tuner_factory("pro", rng=0), space=loadgen_space(),
+            plan=SamplingPlan(1, MinEstimator()),
+        )
+        out = tmp_path / "loadgen.json"
+        with AsyncTcpServerTransport(server, port=0) as tcp:
+            code = main(["loadgen", "--port", str(tcp.port), "--wire", wire,
+                         "--sessions", "4,8", "--steps", "3",
+                         "--connections", "2", "--slo-ms", "60000",
+                         "--json", str(out)])
+        assert code == 0
+        reports = json.loads(out.read_text())
+        assert [(r["sessions"], r["wire"], r["ok"]) for r in reports] == [
+            (4, wire, 4 * 3), (8, wire, 8 * 3),
+        ]
+        assert "loadgen: closed loop" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("sessions", ["0", "x"])
+    def test_bad_session_ramp_exits_2(self, sessions, capsys):
+        code = main(["loadgen", "--port", "1", "--sessions", sessions])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+
 class TestTrace:
     def test_trace_output(self, capsys):
         code = main(["trace", "--nodes", "4", "--iterations", "120"])
