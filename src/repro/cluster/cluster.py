@@ -117,7 +117,10 @@ class Cluster:
             nodes equal), a per-node array, or ``cost(p, k)``.
 
         Every iteration's work is priced and checked before any node moves,
-        so a NaN or negative cost raises with the cluster untouched.
+        so a NaN or negative cost raises with the cluster untouched.  That
+        one check covers the whole run: the nodes are then driven through
+        their kernels' unchecked entry points, since each barrier is the
+        latest finish time and no node is asked to go backwards.
         """
         if n_iterations < 1:
             raise ValueError(f"need at least one iteration, got {n_iterations}")
@@ -150,17 +153,17 @@ class Cluster:
             check_nonnegative("work", float(works.flat[int(np.argmax(bad))]))
         times = np.empty((self.n_nodes, n_iterations), dtype=float)
         barriers = np.empty(n_iterations, dtype=float)
-        finishes = np.empty(self.n_nodes, dtype=float)
+        nodes = self.nodes
+        rows = works.tolist()
         barrier = self.barrier
         for k in range(n_iterations):
-            row = works[k % len(works)]  # a static spec has one row for all
-            for p, node in enumerate(self.nodes):
-                finishes[p] = node.serve_application(row[p])
-            times[:, k] = finishes - barrier
-            barrier = float(finishes.max())
+            row = rows[k % len(rows)]  # a static spec has one row for all
+            finishes = [node._serve(node, work) for node, work in zip(nodes, row)]
+            times[:, k] = np.subtract(finishes, barrier)
+            barrier = max(finishes)
             barriers[k] = barrier
-            for node in self.nodes:
-                node.advance_to(barrier)
+            for node in nodes:
+                node._advance(node, barrier)
         self.barrier = barrier
         return ClusterTrace(
             times=times,

@@ -100,6 +100,16 @@ class _EventBuffer:
         return self._times[i:], self._services[i:]
 
 
+def _bad_event(stream_id: int, t: float, service: float) -> ValueError:
+    """The error for an event with a non-finite arrival time, or a service
+    demand that is negative or not finite."""
+    if not -math.inf < t < math.inf:
+        return ValueError(f"non-finite arrival time {t} from stream {stream_id}")
+    if service < 0.0:
+        return ValueError(f"negative service demand {service} from stream {stream_id}")
+    return ValueError(f"non-finite service demand {service} from stream {stream_id}")
+
+
 class PriorityMachine:
     """Event-driven strict-priority node simulator.
 
@@ -125,6 +135,14 @@ class PriorityMachine:
         fraction of the per-event cost.  ``"auto"`` (default) picks
         batched whenever the node has any event stream; a stream-less node
         falls back to the scalar loop, which is already pure arithmetic.
+        The choice is fixed at construction in the private entry points
+        ``_serve(node, work)`` and ``_advance(node, t)``.  The public
+        :meth:`serve_application` and :meth:`advance_to` check each call
+        and then call them; :meth:`repro.cluster.Cluster.run`, which has
+        checked its whole run, calls them directly.
+
+    Both kernels reject an event whose arrival time is not finite or
+    whose service demand is negative or not finite, naming its stream.
     """
 
     def __init__(
@@ -188,6 +206,16 @@ class PriorityMachine:
         else:
             for sid in range(len(self._streams)):
                 self._pull(sid)
+        # The kernel's entry points, fixed here so no caller branches on the
+        # kernel.  They are stored as plain functions and called with the
+        # node, ``node._serve(node, work)``: a bound method kept on the node
+        # would be a reference cycle, and a finished cluster's buffers would
+        # then wait for the cyclic collector instead of being freed at once.
+        cls = type(self)
+        if self._batched:
+            self._serve, self._advance = cls._serve_batched, cls._advance_batched
+        else:
+            self._serve, self._advance = cls._serve_scalar, cls._advance_scalar
 
     # -- event plumbing (scalar heap kernel) ----------------------------------
 
@@ -197,8 +225,8 @@ class PriorityMachine:
         if event is None:
             return
         t, service = event
-        if service < 0:
-            raise ValueError(f"negative service demand {service} from stream {stream_id}")
+        if not (0.0 <= service < math.inf and -math.inf < t < math.inf):
+            raise _bad_event(stream_id, t, service)
         self._counter += 1
         heapq.heappush(self._heap, (t, self._counter, service, stream_id))
 
@@ -230,9 +258,22 @@ class PriorityMachine:
         The application starts at the current clock and completes once it
         has accumulated *work* seconds of service under strict priority.
         """
-        work = check_nonnegative("work", float(work))
-        if self._batched:
-            return self._serve_batched(work)
+        return self._serve(self, check_nonnegative("work", float(work)))
+
+    def advance_to(self, t: float) -> None:
+        """Idle the application until time *t* (a barrier wait).
+
+        First-priority work keeps being served; arrivals in the window are
+        absorbed so the backlog at *t* is exact.
+        """
+        t = float(t)
+        if not -math.inf < t < math.inf:
+            raise ValueError(f"cannot advance to a non-finite time {t}")
+        if t < self.clock - 1e-9:
+            raise ValueError(f"cannot advance backwards: clock={self.clock}, t={t}")
+        self._advance(self, t)
+
+    def _serve_scalar(self, work: float) -> float:
         remaining = work
         while True:
             next_t = self._next_arrival_time()
@@ -268,18 +309,7 @@ class PriorityMachine:
                     remaining = 0.0
                     return self.clock
 
-    def advance_to(self, t: float) -> None:
-        """Idle the application until time *t* (a barrier wait).
-
-        First-priority work keeps being served; arrivals in the window are
-        absorbed so the backlog at *t* is exact.
-        """
-        t = float(t)
-        if t < self.clock - 1e-9:
-            raise ValueError(f"cannot advance backwards: clock={self.clock}, t={t}")
-        if self._batched:
-            self._advance_batched(t)
-            return
+    def _advance_scalar(self, t: float) -> None:
         while self.clock < t:
             next_t = self._next_arrival_time()
             if self.backlog > 0.0:
@@ -317,12 +347,24 @@ class PriorityMachine:
     #   least-recently-popped stream order, one event per turn (each pop
     #   re-pushes that stream's next event with a fresh counter);
     #   `_heap_order` replays that with per-stream last-pop sequence
-    #   numbers (deterministic daemon lattices hit this constantly);
+    #   numbers (deterministic daemon lattices hit this constantly).  A
+    #   merge without ties needs no replay: sorted order is pop order, and
+    #   each stream's last event sits at a time no other event shares, so
+    #   one `searchsorted` of the streams' last times gives every stream's
+    #   last-pop number at once.  A merge of one stream is its block order;
     # * a stream's next block is drawn from its generator right after its
     #   last buffered event is absorbed; sources sharing one RNG generator
     #   therefore see the same draw order only if the batched kernel
     #   defers each draw to the refill *after* the batch that consumed the
     #   stream — and orders same-refill draws by last-event pop position.
+    #
+    # The per-event loops `_serve_batched` and `_advance_batched` are where
+    # a simulated wave spends its time, so they call no builtin: `min()` and
+    # `max(0.0, x)` are comparisons that pick the same operand, and the head
+    # event's time is carried from one iteration to the next, re-read only
+    # when the cursor moves.  Their arguments are checked by the caller:
+    # `serve_application` and `advance_to` check each call, and
+    # `Cluster.run` checks its whole work matrix once.
 
     def _draw_block(self, sid: int) -> None:
         """Load stream *sid*'s next event block into its pending buffer."""
@@ -331,10 +373,19 @@ class PriorityMachine:
             self._dry[sid] = True
             return
         times, services = blk
-        if services.size and float(services.min()) < 0.0:
-            bad = float(services[services < 0.0][0])
-            raise ValueError(f"negative service demand {bad} from stream {sid}")
-        if times.size > 1 and np.any(np.diff(times) < 0.0):
+        # NaN fails every comparison, so these bounds reject it too; the
+        # neighbour check covers the times between the first and the last.
+        if not (
+            services.min() >= 0.0
+            and services.max() < math.inf
+            and -math.inf < times[0]
+            and times[-1] < math.inf
+            and (times[1:] >= times[:-1]).all()
+        ):
+            bad = ~(np.isfinite(times) & np.isfinite(services) & (services >= 0.0))
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise _bad_event(sid, float(times[i]), float(services[i]))
             raise ValueError(
                 f"stream {sid} produced decreasing arrival times within a block"
             )
@@ -346,18 +397,12 @@ class PriorityMachine:
         """Reorder equal-time ties exactly as the merge heap pops them.
 
         Also advances the per-stream last-pop sequence numbers the
-        tie-break depends on, so later batches keep matching.
+        tie-break depends on, so later batches keep matching.  Runs only
+        on a merge with ties; `_refill` handles the others.
         """
         n = int(mt.size)
         seq = self._pop_seq
         last_pop = self._last_pop
-        if n < 2 or not bool(np.any(mt[1:] == mt[:-1])):
-            # No ties: sorted order is pop order; bulk-update each present
-            # stream's last-pop to the position of its final event.
-            for sid in np.unique(mid_).tolist():
-                last_pop[sid] = seq + int(np.flatnonzero(mid_ == sid)[-1]) + 1
-            self._pop_seq = seq + n
-            return ms, mid_
         times = mt.tolist()
         sids = mid_.tolist()
         perm = list(range(n))
@@ -405,14 +450,15 @@ class PriorityMachine:
         """Merge the next horizon's events into the queue; False when dry."""
         if self._all_dry:
             return False
+        pend = self._pend
         for sid in self._exhaust_order:
             self._draw_block(sid)
         self._exhaust_order = []
         live: list[int] = []
         for sid in range(len(self._streams)):
-            if self._pend[sid] is None and not self._dry[sid]:
+            if pend[sid] is None and not self._dry[sid]:
                 self._draw_block(sid)
-            if self._pend[sid] is not None:
+            if pend[sid] is not None:
                 live.append(sid)
         if not live:
             self._all_dry = True
@@ -421,46 +467,66 @@ class PriorityMachine:
         # buffer reaches it, so no unmerged event can precede any merged
         # one.  The argmin stream contributes its whole buffer, so each
         # refill makes progress.
-        horizon = min(float(self._pend[sid][0][-1]) for sid in live)
-        parts_t: list[np.ndarray] = []
-        parts_s: list[np.ndarray] = []
-        parts_id: list[np.ndarray] = []
+        horizon = min(float(pend[sid][0][-1]) for sid in live)
+        parts: list[tuple[int, np.ndarray, np.ndarray]] = []
         exhausted: list[int] = []
         for sid in live:
-            t_arr, s_arr = self._pend[sid]
+            t_arr, s_arr = pend[sid]
             cut = int(np.searchsorted(t_arr, horizon, side="right"))
             if cut == 0:
                 continue
-            parts_t.append(t_arr[:cut])
-            parts_s.append(s_arr[:cut])
-            parts_id.append(np.full(cut, sid, dtype=np.intp))
             if cut == t_arr.size:
-                self._pend[sid] = None
+                pend[sid] = None
                 exhausted.append(sid)
             else:
-                self._pend[sid] = (t_arr[cut:], s_arr[cut:])
-        if len(parts_t) == 1:
-            mt, ms, mid_ = parts_t[0], parts_s[0], parts_id[0]
+                pend[sid] = (t_arr[cut:], s_arr[cut:])
+                t_arr, s_arr = t_arr[:cut], s_arr[:cut]
+            parts.append((sid, t_arr, s_arr))
+        seq = self._pop_seq
+        if len(parts) == 1:
+            # One stream: its block order is the pop order.
+            sid, mt, ms = parts[0]
+            self._pop_seq = self._last_pop[sid] = seq + mt.size
         else:
-            mt = np.concatenate(parts_t)
-            ms = np.concatenate(parts_s)
-            mid_ = np.concatenate(parts_id)
+            mt = np.concatenate([t_arr for _, t_arr, _ in parts])
+            ms = np.concatenate([s_arr for _, _, s_arr in parts])
             order = np.argsort(mt, kind="stable")
             mt = mt[order]
             ms = ms[order]
-            mid_ = mid_[order]
-        if len(self._streams) > 1:
-            ms, mid_ = self._heap_order(mt, ms, mid_)
-            if len(exhausted) > 1:
+            if (mt[1:] == mt[:-1]).any():
+                mid_ = np.concatenate(
+                    [np.full(t_arr.size, sid, dtype=np.intp) for sid, t_arr, _ in parts]
+                )[order]
+                ms, mid_ = self._heap_order(mt, ms, mid_)
                 last_pos = {
                     sid: int(np.flatnonzero(mid_ == sid)[-1]) for sid in exhausted
                 }
-                exhausted.sort(key=last_pos.__getitem__)
+            else:
+                # No ties: each stream's last event pops where its time sorts.
+                ends = np.searchsorted(mt, [t_arr[-1] for _, t_arr, _ in parts])
+                last_pos = {}
+                for (sid, _, _), end in zip(parts, ends.tolist()):
+                    self._last_pop[sid] = seq + end + 1
+                    last_pos[sid] = end
+                self._pop_seq = seq + mt.size
+            exhausted.sort(key=last_pos.__getitem__)
         self._exhaust_order = exhausted
         self._qt = mt.tolist()
         self._qs = ms.tolist()
         self._qpos = 0
         return True
+
+    def _requeue(self, pos: int) -> tuple[list, list, int, int, float]:
+        """Refill once the cursor *pos* has passed the end of the queue.
+
+        Returns the loops' ``(qt, qs, pos, qlen, head time)``: the new
+        queue and its first event, or, when every stream is dry, the
+        spent queue and ``inf``.
+        """
+        if self._refill():
+            qt = self._qt
+            return qt, self._qs, 0, len(qt), qt[0]
+        return self._qt, self._qs, pos, len(self._qt), math.inf
 
     def _serve_batched(self, work: float) -> float:
         remaining = work
@@ -470,18 +536,12 @@ class PriorityMachine:
         qt, qs = self._qt, self._qs
         pos = self._qpos
         qlen = len(qt)
-        inf = math.inf
         try:
+            if pos < qlen:
+                next_t = qt[pos]
+            else:
+                qt, qs, pos, qlen, next_t = self._requeue(pos)
             while True:
-                if pos < qlen:
-                    next_t = qt[pos]
-                elif self._refill():
-                    qt, qs = self._qt, self._qs
-                    pos = 0
-                    qlen = len(qt)
-                    next_t = qt[0]
-                else:
-                    next_t = inf
                 if backlog > 0.0:
                     drain_at = clock + backlog
                     if drain_at <= clock:
@@ -489,32 +549,34 @@ class PriorityMachine:
                         p1 += backlog
                         backlog = 0.0
                         continue
-                    if next_t < drain_at:
-                        served = next_t - clock
-                        # max() guards the one-ulp float leak when served was
-                        # computed from clock + backlog.
-                        backlog = max(0.0, backlog - served)
-                        p1 += served
-                        clock = next_t
-                        backlog += qs[pos]
-                        pos += 1
-                    else:
+                    if not next_t < drain_at:
                         p1 += backlog
                         clock = drain_at
                         backlog = 0.0
+                        continue
+                    served = next_t - clock
+                    backlog -= served
+                    if backlog < 0.0:
+                        # the one-ulp float leak when served was computed
+                        # from clock + backlog
+                        backlog = 0.0
+                    p1 += served
                 else:
                     if remaining <= 0.0:
                         return clock
                     finish_at = clock + remaining
-                    if next_t < finish_at:
-                        remaining -= next_t - clock
-                        clock = next_t
-                        backlog += qs[pos]
-                        pos += 1
-                    else:
+                    if not next_t < finish_at:
                         clock = finish_at
-                        remaining = 0.0
                         return clock
+                    remaining -= next_t - clock
+                # The head event arrives: absorb it and read the next head.
+                clock = next_t
+                backlog += qs[pos]
+                pos += 1
+                if pos < qlen:
+                    next_t = qt[pos]
+                else:
+                    qt, qs, pos, qlen, next_t = self._requeue(pos)
         finally:
             self.clock = clock
             self.backlog = backlog
@@ -523,23 +585,19 @@ class PriorityMachine:
 
     def _advance_batched(self, t: float) -> None:
         clock = self.clock
+        if not clock < t:
+            return
         backlog = self.backlog
         p1 = self.p1_service_done
         qt, qs = self._qt, self._qs
         pos = self._qpos
         qlen = len(qt)
-        inf = math.inf
         try:
-            while clock < t:
-                if pos < qlen:
-                    next_t = qt[pos]
-                elif self._refill():
-                    qt, qs = self._qt, self._qs
-                    pos = 0
-                    qlen = len(qt)
-                    next_t = qt[0]
-                else:
-                    next_t = inf
+            if pos < qlen:
+                next_t = qt[pos]
+            else:
+                qt, qs, pos, qlen, next_t = self._requeue(pos)
+            while True:
                 if backlog > 0.0:
                     drain_at = clock + backlog
                     if drain_at <= clock:
@@ -547,29 +605,32 @@ class PriorityMachine:
                         p1 += backlog
                         backlog = 0.0
                         continue
-                    stop_at = min(next_t, drain_at, t)
+                    # min(next_t, drain_at, t)
+                    stop_at = drain_at if drain_at < next_t else next_t
+                    if t < stop_at:
+                        stop_at = t
                     served = stop_at - clock
-                    backlog = max(0.0, backlog - served)
+                    backlog -= served
+                    if backlog < 0.0:
+                        backlog = 0.0
                     p1 += served
                     clock = stop_at
                 else:
-                    clock = min(next_t, t)
-                while True:
-                    if pos >= qlen:
-                        if not self._refill():
-                            break
-                        qt, qs = self._qt, self._qs
-                        pos = 0
-                        qlen = len(qt)
-                    et = qt[pos]
-                    if et > clock:
-                        break
-                    if et < clock - 1e-9:
+                    clock = t if t < next_t else next_t
+                # Absorb every arrival the clock has reached.
+                while next_t <= clock:
+                    if next_t < clock - 1e-9:
                         raise RuntimeError(
-                            f"event at t={et} arrived in the past (clock={clock})"
+                            f"event at t={next_t} arrived in the past (clock={clock})"
                         )
                     backlog += qs[pos]
                     pos += 1
+                    if pos < qlen:
+                        next_t = qt[pos]
+                    else:
+                        qt, qs, pos, qlen, next_t = self._requeue(pos)
+                if not clock < t:
+                    return
         finally:
             self.clock = clock
             self.backlog = backlog

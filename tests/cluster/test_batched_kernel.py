@@ -17,6 +17,8 @@ subtle orderings the merge has to reproduce:
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import (
     Cluster,
@@ -41,17 +43,17 @@ def _paired_machines(make_sources, seed=7, **kwargs):
     return scalar, batched
 
 
-def _drive(machine, rng):
+def _drive(machine, rng, steps=400, work=(0.01, 0.5), wait=(0.0, 0.4)):
     """A mixed serve/advance schedule; returns every observable float."""
     out = []
     t = 0.0
-    for step in range(400):
+    for step in range(steps):
         if step % 3 == 2:
-            t = machine.clock + float(rng.uniform(0.0, 0.4))
+            t = machine.clock + float(rng.uniform(*wait))
             machine.advance_to(t)
         else:
-            out.append(machine.serve_application(float(rng.uniform(0.01, 0.5))))
-        out.extend((machine.clock, machine.backlog))
+            out.append(machine.serve_application(float(rng.uniform(*work))))
+        out.extend((machine.clock, machine.backlog, machine.p1_service_done))
     return out
 
 
@@ -113,6 +115,66 @@ class TestMachineBitIdentity:
         a = _drive(build("scalar"), np.random.default_rng(5))
         b = _drive(build("batched"), np.random.default_rng(5))
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestMergeTieBookkeeping:
+    """Integer daemon lattices under a fast Poisson stream.
+
+    The lattices collide on whole seconds, and a 256-event Poisson block
+    spans a few seconds at these rates, so some horizon merges carry ties
+    (replayed by ``_heap_order``) and others carry none (last-pop numbers
+    set in bulk).  A merge of either kind must leave the last-pop numbers
+    the next one's tie-break reads.  Every source shares the node
+    generator, so a tie popped out of order also reorders later draws.
+    """
+
+    @given(
+        daemons=st.lists(
+            st.tuples(
+                st.integers(1, 6), st.integers(0, 5), st.sampled_from([0.01, 0.03])
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        rate=st.sampled_from([40.0, 100.0, 150.0]),
+        shared=st.none() | st.tuples(st.integers(1, 6), st.integers(0, 5)),
+        seed=st.integers(0, 2**16),
+        steps=st.integers(30, 300),
+    )
+    @example(
+        daemons=[(3, 2, 0.03), (5, 1, 0.03), (4, 1, 0.03)],
+        rate=100.0,
+        shared=None,
+        seed=917,
+        steps=900,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_kernels_agree_bitwise(self, daemons, rate, shared, seed, steps):
+        def build(kernel):
+            sources = [
+                PeriodicDaemon(period, ExponentialService(mean), phase=phase)
+                for period, phase, mean in daemons
+            ]
+            sources.append(PoissonArrivals(rate, ExponentialService(0.0005)))
+            streams, load = [], 0.0
+            if shared is not None:
+                daemon = PeriodicDaemon(
+                    shared[0], ExponentialService(0.02), phase=shared[1]
+                )
+                streams = [daemon.stream_blocks(0.0, np.random.default_rng(seed + 1))]
+                load = daemon.load
+            return PriorityMachine(
+                sources, rng=np.random.default_rng(seed), shared_streams=streams,
+                shared_load=load, kernel=kernel,
+            )
+
+        def run(kernel):
+            return _drive(
+                build(kernel), np.random.default_rng(seed), steps=steps,
+                work=(0.01, 0.6), wait=(0.0, 0.6),
+            )
+
+        assert np.asarray(run("scalar")).tobytes() == np.asarray(run("batched")).tobytes()
 
 
 class TestClusterBitIdentity:

@@ -4,6 +4,9 @@ The key validation: the machine reproduces the two-job model's closed
 forms — ``E[y] = f/(1-ρ)`` (Eq. 6) — from pure queueing dynamics.
 """
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -32,6 +35,16 @@ class TestNoWorkload:
         m.advance_to(5.0)
         with pytest.raises(ValueError):
             m.advance_to(4.0)
+
+    @pytest.mark.parametrize("kernel", ["scalar", "batched"])
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_advance_rejected(self, kernel, t):
+        # NaN compares false to the backwards check, and a wait until
+        # infinity never ends on an unbounded stream.
+        m = PriorityMachine(kernel=kernel)
+        with pytest.raises(ValueError, match="non-finite"):
+            m.advance_to(t)
+        assert m.clock == 0.0
 
     def test_zero_work(self):
         m = PriorityMachine()
@@ -158,3 +171,41 @@ class TestFloatRobustness:
         m.clock = 1e9
         m.backlog = 1e-18
         assert m.serve_application(1.0) == pytest.approx(1e9 + 1.0)
+
+
+class TestBadEvents:
+    """Both kernels reject an event whose arrival time is not finite or
+    whose service demand is negative or not finite, naming its stream.
+
+    The streams are finite, so a kernel that let such an event through
+    would run to the end and fail the assertion instead of hanging.
+    """
+
+    @pytest.mark.parametrize("kernel", ["scalar", "batched"])
+    @pytest.mark.parametrize(
+        "event, message",
+        [
+            ((1.0, math.nan), "non-finite service demand nan from stream 1"),
+            ((1.0, math.inf), "non-finite service demand inf from stream 1"),
+            ((1.0, -0.1), "negative service demand -0.1 from stream 1"),
+            ((math.nan, 0.1), "non-finite arrival time nan from stream 1"),
+            ((math.inf, 0.1), "non-finite arrival time inf from stream 1"),
+        ],
+        ids=["nan-service", "inf-service", "negative-service", "nan-time", "inf-time"],
+    )
+    def test_rejected_with_its_stream(self, kernel, event, message):
+        m = PriorityMachine(
+            shared_streams=[iter([(0.5, 0.1), (2.0, 0.1)]), iter([(0.25, 0.05), event])],
+            kernel=kernel,
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            m.serve_application(5.0)
+            m.advance_to(10.0)
+
+    def test_decreasing_block_rejected(self):
+        def blocks():
+            yield np.array([1.0, 0.5]), np.array([0.1, 0.1])
+
+        m = PriorityMachine(shared_streams=[blocks()], kernel="batched")
+        with pytest.raises(ValueError, match="stream 0 produced decreasing"):
+            m.serve_application(1.0)

@@ -17,8 +17,16 @@ import json
 import math
 
 import numpy as np
+import pytest
 
-from repro.cluster import Cluster, ExponentialService, PoissonArrivals
+from repro.cluster import (
+    Cluster,
+    ExponentialService,
+    FixedService,
+    ParetoService,
+    PeriodicDaemon,
+    PoissonArrivals,
+)
 from repro.core.adaptive import AdaptiveSamplingController
 from repro.core.pro import ParallelRankOrdering
 from repro.core.sampling import (
@@ -35,6 +43,7 @@ from repro.obs import Tracer, canonical_events, read_trace
 from repro.search import RandomSearch
 from repro.variability import ParetoNoise
 
+from tests.cluster.test_batched_kernel import CASES as MACHINE_CASES
 from tests.experiments.test_parallel import SPACE, QuadCell, quad_objective
 from tests.harmony.test_batched_eval import SPACE as RUGGED_SPACE
 from tests.harmony.test_batched_eval import rugged
@@ -433,3 +442,113 @@ def test_server_state_bytes_snapshot(golden_text, tmp_path):
     })
     assert adopted["ok"]
     assert json.dumps(target.session("g").state_dict()) == before
+
+
+# -- the simulated cluster, on both kernels ------------------------------------------
+#
+# Per run, the SHA-256 of every iteration time, every barrier time and each
+# node's final (clock, backlog, p1_service_done), as little-endian float64
+# bytes.  The batched kernel and the scalar heap kernel must both reproduce
+# them, so a change to either that moves one float operation moves a digest.
+# Runs: the Fig. 3 sources on 32 nodes wave by wave (the ClusterEvaluator
+# pattern) and as one long run, each machine-level bit-identity case on a
+# small cluster, heterogeneous speeds, callable costs, and integer daemon
+# lattices whose ties recur under a fast Poisson stream.
+
+
+def _fig03_sources():
+    return {
+        "private_sources": [PoissonArrivals(0.15, ParetoService(1.3, 0.15))],
+        "shared_sources": [
+            PoissonArrivals(0.007, ParetoService(1.25, 2.5)),
+            PeriodicDaemon(30.0, FixedService(0.12)),
+        ],
+    }
+
+
+def _tie_sources():
+    return [
+        PeriodicDaemon(3.0, ExponentialService(0.03), phase=2.0),
+        PeriodicDaemon(5.0, ExponentialService(0.03), phase=1.0),
+        PeriodicDaemon(4.0, ExponentialService(0.03), phase=1.0),
+        PoissonArrivals(100.0, ExponentialService(0.0005)),
+    ]
+
+
+def _waves(n_nodes, n_waves, low, high, seed):
+    """*n_waves* one-iteration runs, per-node costs uniform in [low, high)."""
+    costs = np.random.default_rng(seed).uniform(low, high, (n_waves, n_nodes))
+    return [(row, 1) for row in costs]
+
+
+def _cluster_cases():
+    """``{name: (cluster kwargs, [(costs, n_iterations), ...])}``."""
+    cases = {
+        "fig03-200-waves": (
+            dict(n_nodes=32, seed=7, **_fig03_sources()),
+            _waves(32, 200, 2.0, 12.0, seed=8),
+        ),
+        "fig03-one-run": (
+            dict(n_nodes=32, seed=7, **_fig03_sources()),
+            [(np.random.default_rng(8).uniform(2.0, 12.0, 32), 200)],
+        ),
+        "speed-factors": (
+            dict(
+                n_nodes=6,
+                private_sources=[
+                    PoissonArrivals(2.0, ExponentialService(0.05)),
+                    PeriodicDaemon(0.5, FixedService(0.02)),
+                ],
+                shared_sources=[PeriodicDaemon(1.0, ExponentialService(0.1))],
+                speed_factors=[1.0, 0.5, 0.8, 1.25, 0.7, 2.0],
+                seed=3,
+            ),
+            _waves(6, 40, 0.5, 1.5, seed=4) + [(1.0, 40)],
+        ),
+        "callable-costs": (
+            dict(
+                n_nodes=5,
+                private_sources=[PoissonArrivals(3.0, ParetoService(1.8, 0.01))],
+                shared_sources=[PoissonArrivals(0.2, ExponentialService(0.3))],
+                seed=5,
+            ),
+            [(lambda p, k: 0.25 + 0.1 * ((3 * p + k) % 7), 100)] * 2,
+        ),
+        "ties": (
+            dict(n_nodes=4, private_sources=_tie_sources(), seed=917),
+            _waves(4, 150, 0.01, 0.6, seed=917) + [(0.3, 150)],
+        ),
+    }
+    for name, make_sources in sorted(MACHINE_CASES.items()):
+        cases[f"machine-{name}"] = (
+            dict(n_nodes=4, private_sources=make_sources(), seed=11),
+            _waves(4, 60, 0.01, 0.5, seed=12) + [(0.25, 60)],
+        )
+    return cases
+
+
+def _sha256(values):
+    data = np.ascontiguousarray(values, dtype="<f8").tobytes()
+    return hashlib.sha256(data).hexdigest()
+
+
+def _cluster_record(kernel, kwargs, schedule):
+    cluster = Cluster(kernel=kernel, **kwargs)
+    traces = [cluster.run(costs, n) for costs, n in schedule]
+    states = [(n.clock, n.backlog, n.p1_service_done) for n in cluster.nodes]
+    return {
+        "iterations": sum(n for _, n in schedule),
+        "times": _sha256(np.hstack([t.times for t in traces])),
+        "barrier_times": _sha256(np.concatenate([t.barrier_times for t in traces])),
+        "node_states": _sha256(states),
+    }
+
+
+@pytest.mark.parametrize("kernel", ["scalar", "batched"])
+def test_cluster_traces_snapshot(golden_text, kernel):
+    records = {
+        name: _cluster_record(kernel, kwargs, schedule)
+        for name, (kwargs, schedule) in _cluster_cases().items()
+    }
+    text = json.dumps(records, indent=1, sort_keys=True) + "\n"
+    golden_text("cluster_traces.json", text)
