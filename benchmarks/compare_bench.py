@@ -14,6 +14,12 @@ Usage::
 
 Exit status: 0 when every guarded metric holds (or is absent from the
 baseline — first runs pass vacuously), 1 on a regression, 2 on bad input.
+
+A bench-smoke test that fails before writing leaves its keys with the
+committed numbers, so their lines would compare the baseline with itself.
+The report marks each such line as not rewritten by the current run (see
+:func:`rewritten`), and prints the CPU count and Python version when they
+differ between the two files.  Neither changes a verdict.
 """
 
 from __future__ import annotations
@@ -61,6 +67,26 @@ FLOORS = (
     # below this the planner/migration path is no longer paying its way
     ("fleet", "skew_speedup", 1.5),
 )
+
+
+#: report-only context stamped on the file by each bench-smoke run
+CONTEXT = ("cpu_count", "python")
+
+#: the mark on a report line whose key the current run did not write
+NOT_REWRITTEN = "  [not rewritten by this run]"
+
+
+def rewritten(current: dict, section: str, key: str) -> bool:
+    """Whether the run that stamped *current* wrote ``section.key``.
+
+    ``_update_bench_json`` stamps the file with its run's id and each key
+    it writes with the same id.  An unstamped file tells nothing, so every
+    line counts as rewritten.
+    """
+    run_id = current.get("run_id")
+    if run_id is None:
+        return True
+    return current.get(section, {}).get("run_ids", {}).get(key) == run_id
 
 
 def compare(baseline: dict, current: dict, tolerance: float) -> list[str]:
@@ -134,16 +160,26 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     failures = compare(baseline, current, args.tolerance)
+    if any(baseline.get(name) != current.get(name) for name in CONTEXT):
+        print("context differs: " + ", ".join(
+            f"{name} baseline={baseline.get(name)} current={current.get(name)}"
+            for name in CONTEXT
+        ))
+
+    def report(section: str, key: str, text: str) -> None:
+        stale = "" if rewritten(current, section, key) else NOT_REWRITTEN
+        print(f"{section}.{key}: {text}{stale}")
+
     for section, key in GUARDED:
         base = baseline.get(section, {}).get(key)
         cur = current.get(section, {}).get(key)
-        print(f"{section}.{key}: baseline={base} current={cur}")
+        report(section, key, f"baseline={base} current={cur}")
     for section, key, ceiling in CEILINGS:
         cur = current.get(section, {}).get(key)
-        print(f"{section}.{key}: current={cur} ceiling={ceiling}")
+        report(section, key, f"current={cur} ceiling={ceiling}")
     for section, key, floor in FLOORS:
         cur = current.get(section, {}).get(key)
-        print(f"{section}.{key}: current={cur} floor={floor}")
+        report(section, key, f"current={cur} floor={floor}")
     if failures:
         print("\nperformance regression detected:", file=sys.stderr)
         for line in failures:

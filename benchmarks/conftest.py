@@ -10,11 +10,19 @@ run.  Set ``REPRO_BENCH_SCALE=full`` for paper-scale trial counts (slower).
 from __future__ import annotations
 
 import os
+import sys
 from pathlib import Path
 
 import pytest
 
 OUT_DIR = Path(__file__).parent / "out"
+
+# Some bench-smoke arms time production code against the reference
+# implementations in ``tests/oracles.py``; the repo root makes ``tests``
+# importable however pytest was launched.
+_ROOT = str(Path(__file__).resolve().parent.parent)
+if _ROOT not in sys.path:
+    sys.path.append(_ROOT)
 
 
 def bench_scale() -> str:

@@ -13,11 +13,8 @@ successive PRs can be compared without scraping test output.
 """
 
 import gc
-import json
-import os
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,11 +26,12 @@ from repro.cluster.workload import WorkloadSource
 from repro.core.pro import ParallelRankOrdering
 from repro.core.sampling import SamplingPlan
 from repro.experiments.runner import run_sweep
+from repro.harmony.evaluator import FunctionEvaluator
 from repro.harmony.session import TuningSession
 from repro.space import IntParameter, ParameterSpace
 from repro.variability.models import ParetoNoise
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_runner.json"
+from test_server_throughput import _update_bench_json
+from tests.oracles import HeapCluster, per_wave
 
 
 @pytest.fixture(scope="module")
@@ -186,18 +184,6 @@ class _PerEventPoisson(WorkloadSource):
             yield t, self.service.sample(gen)
 
 
-def _update_bench_json(section: str, payload: dict) -> None:
-    """Read-modify-write one section so the smoke tests compose in any order."""
-    data = {}
-    if BENCH_JSON.exists():
-        data = json.loads(BENCH_JSON.read_text())
-    data["schema"] = 1
-    data["cpu_count"] = os.cpu_count()
-    data[section] = payload
-    BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    print(f"\n[bench_smoke] {section} -> {BENCH_JSON}")
-
-
 def _best_of(n: int, fn):
     best = float("inf")
     value = None
@@ -299,28 +285,26 @@ def test_smoke_cluster_event_generation():
     """Batched event-horizon kernel vs the per-event scalar baseline.
 
     The baseline arm is the seed's configuration end to end: per-event
-    block generation feeding the scalar heap loop.  The contender is the
-    current default: vectorized block generation feeding the batched
+    block generation feeding the scalar heap loop, which lives on as the
+    test oracle ``tests/oracles.HeapCluster``.  The contender is the
+    production cluster: vectorized block generation feeding the batched
     horizon-merge kernel.  Both produce bit-identical traces (asserted in
     ``tests/cluster/test_batched_kernel.py``); here only the total is
     sanity-checked so the timing loop stays honest.
     """
     nodes, iterations = 8, 250
 
-    def run(source_cls, kernel):
-        cluster = Cluster(
+    def run(source_cls, cluster_class):
+        cluster = cluster_class(
             nodes,
             private_sources=[source_cls(5.0, ExponentialService(0.05))],
             seed=9,
-            kernel=kernel,
         )
         return cluster.run(1.0, iterations).total_time()
 
-    vector_s, vector_total = _best_of(
-        3, lambda: run(PoissonArrivals, "batched")
-    )
+    vector_s, vector_total = _best_of(3, lambda: run(PoissonArrivals, Cluster))
     scalar_s, scalar_total = _best_of(
-        3, lambda: run(_PerEventPoisson, "scalar")
+        3, lambda: run(_PerEventPoisson, HeapCluster)
     )
     assert vector_total > 0 and scalar_total > 0
     _update_bench_json(
@@ -463,13 +447,12 @@ class _ScalarDB:
 
 
 def _db_session(db, space, seed, batched) -> TuningSession:
+    evaluator = FunctionEvaluator(db, ParetoNoise(rho=0.2))
     return TuningSession(
         ParallelRankOrdering(space),
-        db,
-        noise=ParetoNoise(rho=0.2),
+        evaluator if batched else per_wave(evaluator),
         budget=60,
         plan=SamplingPlan(5),
-        batched_eval=batched,
         rng=seed,
     )
 
@@ -478,10 +461,10 @@ def _db_session(db, space, seed, batched) -> TuningSession:
 def test_smoke_session_batched():
     """Batched vs scalar single-process session on the database evaluator.
 
-    The "before" arm reconstructs the seed's behavior faithfully: scalar
-    geometry in the tuner, per-point database calls, per-wave true-cost
-    recomputation (``batched_eval=False``).  The "after" arm is the
-    default configuration.  Identity is asserted bitwise (same seed, same
+    The "before" arm reconstructs the seed's behavior: scalar geometry in
+    the tuner, per-point database calls, and the per-wave ``observe_wave``
+    path (``tests/oracles.per_wave``).  The "after" arm is the default
+    configuration.  Identity is asserted bitwise (same seed, same
     step times); the tentpole targets >= 2x, asserted at >= 1.5x to keep
     the gate robust to CI timer noise.
     """

@@ -5,9 +5,9 @@ Python-level loop — clamp the assignment ledger, append the sample, check
 batch completion — per report.  At binary-wire widths (1024 messages per
 frame) that loop is the hot tail of the ingest path.  The vectorized
 kernel (:meth:`repro.harmony.server.ServerSession._absorb_reports`) does
-the same ordered replay with array ops; the scalar loop survives as
-:meth:`~repro.harmony.server.ServerSession._absorb_reports_scalar`, the
-semantic reference.
+the same ordered replay with array ops; the scalar loop survives as the
+test oracle ``tests/oracles.absorb_reports_scalar``, the semantic
+reference.
 
 This bench drives *both* against two identically-seeded sessions with the
 same report stream — including mid-group batch completions and the stale
@@ -37,6 +37,7 @@ from repro.harmony.server import TuningServer
 from repro.search.random_search import RandomSearch
 from repro.space import IntParameter, ParameterSpace
 from test_server_throughput import _update_bench_json
+from tests.oracles import absorb_reports_scalar
 
 #: samples per candidate — a deep-sampling plan (the paper's large-K arm)
 K = 32
@@ -91,7 +92,7 @@ def test_smoke_report_replay_speedup(scale):
             np.array_split(tok_s, chunks), np.array_split(times_s, chunks)
         ):
             t0 = time.perf_counter()
-            stale_s = scalar._absorb_reports_scalar(part_t, part_x)
+            stale_s = absorb_reports_scalar(scalar, part_t, part_x)
             t_scalar += time.perf_counter() - t0
             t0 = time.perf_counter()
             stale_v = vector._absorb_reports(part_t, part_x)

@@ -23,8 +23,10 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import threading
 import time
+import uuid
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +55,10 @@ BINARY_WIDTH = 1024
 
 CLIENT_COUNTS = (1, 8, 32)
 
+#: one id per bench-smoke run (one pytest process), stamped on the file and
+#: on every key a run writes
+RUN_ID = uuid.uuid4().hex[:12]
+
 
 def _update_bench_json(section: str, payload: dict) -> None:
     """Read-modify-write one section so the smoke tests compose in any order.
@@ -60,18 +66,25 @@ def _update_bench_json(section: str, payload: dict) -> None:
     Merges into an existing section (rather than replacing it) so tests
     that contribute different keys to the same section — e.g. the serving
     matrix and the report-replay microbench, both under ``server`` —
-    compose too.
+    compose too.  The file carries this run's :data:`RUN_ID`, the CPU
+    count and the Python version; the section's ``run_ids`` maps each key
+    written to the run that wrote it.  A test that fails before writing
+    leaves its keys with an older id (or none), and ``compare_bench.py``
+    marks them as not rewritten by this run.  Keys, not sections, carry
+    the stamp because ``server`` has two writers.
     """
     data = {}
     if BENCH_JSON.exists():
         data = json.loads(BENCH_JSON.read_text())
     data["schema"] = 1
     data["cpu_count"] = os.cpu_count()
+    data["python"] = platform.python_version()
+    data["run_id"] = RUN_ID
     section_data = data.get(section)
-    if isinstance(section_data, dict):
-        section_data.update(payload)
-    else:
-        data[section] = payload
+    if not isinstance(section_data, dict):
+        section_data = data[section] = {}
+    section_data.update(payload)
+    section_data.setdefault("run_ids", {}).update(dict.fromkeys(payload, RUN_ID))
     BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     print(f"\n[bench_smoke] {section} -> {BENCH_JSON}")
 

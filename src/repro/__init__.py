@@ -74,7 +74,6 @@ from repro.cluster import Cluster, ClusterTrace, PriorityMachine
 from repro.faults import (
     FaultPlan,
     FaultyEvaluator,
-    FaultyFactory,
     InjectedFault,
 )
 from repro.harmony import (
@@ -148,7 +147,6 @@ __all__ = [
     # faults
     "FaultPlan",
     "FaultyEvaluator",
-    "FaultyFactory",
     "InjectedFault",
     # harmony
     "TuningSession",

@@ -37,6 +37,9 @@ CostSpec = float | Sequence[float] | Callable[[int, int], float]
 class Cluster:
     """A barrier-synchronized collection of strict-priority nodes."""
 
+    #: the node class; :meth:`run` drives its ``_serve`` and ``_advance``
+    machine_class: type[PriorityMachine] = PriorityMachine
+
     def __init__(
         self,
         n_nodes: int,
@@ -45,7 +48,6 @@ class Cluster:
         shared_sources: Sequence[WorkloadSource] = (),
         speed_factors: Sequence[float] | None = None,
         seed: int | np.random.Generator | None = None,
-        kernel: str = "auto",
     ) -> None:
         if n_nodes < 1:
             raise ValueError(f"need at least one node, got {n_nodes}")
@@ -89,12 +91,11 @@ class Cluster:
                 for i, src in enumerate(self._shared_sources)
             ]
             self.nodes.append(
-                PriorityMachine(
+                self.machine_class(
                     self._private_sources,
                     children[p],
                     shared_streams=shared_streams,
                     shared_load=shared_load,
-                    kernel=kernel,
                 )
             )
 
@@ -119,8 +120,8 @@ class Cluster:
         Every iteration's work is priced and checked before any node moves,
         so a NaN or negative cost raises with the cluster untouched.  That
         one check covers the whole run: the nodes are then driven through
-        their kernels' unchecked entry points, since each barrier is the
-        latest finish time and no node is asked to go backwards.
+        their kernel's unchecked loops, since each barrier is the latest
+        finish time and no node is asked to go backwards.
         """
         if n_iterations < 1:
             raise ValueError(f"need at least one iteration, got {n_iterations}")
@@ -154,16 +155,17 @@ class Cluster:
         times = np.empty((self.n_nodes, n_iterations), dtype=float)
         barriers = np.empty(n_iterations, dtype=float)
         nodes = self.nodes
+        serve, advance = self.machine_class._serve, self.machine_class._advance
         rows = works.tolist()
         barrier = self.barrier
         for k in range(n_iterations):
             row = rows[k % len(rows)]  # a static spec has one row for all
-            finishes = [node._serve(node, work) for node, work in zip(nodes, row)]
+            finishes = [serve(node, work) for node, work in zip(nodes, row)]
             times[:, k] = np.subtract(finishes, barrier)
             barrier = max(finishes)
             barriers[k] = barrier
             for node in nodes:
-                node._advance(node, barrier)
+                advance(node, barrier)
         self.barrier = barrier
         return ClusterTrace(
             times=times,

@@ -16,7 +16,6 @@ the server keeps draining first-priority backlog.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from typing import Iterable, Iterator, Sequence
@@ -32,10 +31,9 @@ __all__ = ["PriorityMachine"]
 class _EventBuffer:
     """Array-buffered cursor over one source's event blocks.
 
-    The simulator's merge heap only ever needs each stream's *head* event;
-    buffering whole ``(times, services)`` blocks behind that head is what
-    lets sources generate events with one vectorized RNG call per block
-    while the merge logic stays per-event and exact.
+    Buffering whole ``(times, services)`` blocks is what lets sources
+    generate events with one vectorized RNG call per block; the node's
+    kernel merges the blocks and replays them per event, exactly.
     """
 
     __slots__ = ("_blocks", "_times", "_services", "_pos")
@@ -71,24 +69,9 @@ class _EventBuffer:
 
         return cls(blockify())
 
-    def next_event(self) -> tuple[float, float] | None:
-        """Pop the stream's next ``(arrival, service)``, or None when dry."""
-        while self._times is None or self._pos >= self._times.size:
-            try:
-                self._times, self._services = next(self._blocks)
-            except StopIteration:
-                return None
-            self._pos = 0
-        i = self._pos
-        self._pos = i + 1
-        return float(self._times[i]), float(self._services[i])
-
     def next_block(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """Pop the rest of the current block (or the next one) as arrays.
-
-        The batched kernel's block-granular sibling of :meth:`next_event`;
-        returns None when the stream is dry.
-        """
+        """Pop the rest of the current block (or the next one) as arrays;
+        None when the stream is dry."""
         while self._times is None or self._pos >= self._times.size:
             try:
                 self._times, self._services = next(self._blocks)
@@ -126,23 +109,20 @@ class PriorityMachine:
         in the paper's Fig. 3).  Each entry is either a per-event
         ``(arrival, service)`` iterator or a vectorized
         ``(times, services)`` block iterator (a ``stream_blocks`` result).
-    kernel:
-        ``"scalar"`` runs the original per-event merge heap; ``"batched"``
-        runs the event-horizon kernel, which merges whole stream blocks up
-        to a horizon with one stable ``np.argsort`` and then replays the
-        exact scalar arithmetic over flat local lists — bit-identical
-        results (heap tie-breaks and RNG block-draw order included) at a
-        fraction of the per-event cost.  ``"auto"`` (default) picks
-        batched whenever the node has any event stream; a stream-less node
-        falls back to the scalar loop, which is already pure arithmetic.
-        The choice is fixed at construction in the private entry points
-        ``_serve(node, work)`` and ``_advance(node, t)``.  The public
-        :meth:`serve_application` and :meth:`advance_to` check each call
-        and then call them; :meth:`repro.cluster.Cluster.run`, which has
-        checked its whole run, calls them directly.
 
-    Both kernels reject an event whose arrival time is not finite or
-    whose service demand is negative or not finite, naming its stream.
+    The node runs the event-horizon kernel: it merges whole stream blocks
+    up to a horizon with one stable ``np.argsort`` and then replays the
+    per-event arithmetic over flat local lists.  Its results — clocks,
+    backlogs, heap tie-breaks and RNG block-draw order included — are
+    bit-identical to a per-event merge heap, which the test suite keeps
+    as its oracle.  The kernel's loops are the private methods
+    ``_serve(work)`` and ``_advance(t)``.  The public
+    :meth:`serve_application` and :meth:`advance_to` check each call and
+    then call them; :meth:`repro.cluster.Cluster.run`, which has checked
+    its whole run, calls them directly.
+
+    The kernel rejects an event whose arrival time is not finite or whose
+    service demand is negative or not finite, naming its stream.
     """
 
     def __init__(
@@ -152,12 +132,7 @@ class PriorityMachine:
         *,
         shared_streams: Sequence[Iterable] = (),
         shared_load: float = 0.0,
-        kernel: str = "auto",
     ) -> None:
-        if kernel not in ("auto", "batched", "scalar"):
-            raise ValueError(
-                f"kernel must be 'auto', 'batched', or 'scalar', got {kernel!r}"
-            )
         gen = as_generator(rng)
         self._sources = tuple(sources)
         self._own_load = float(sum(s.load for s in self._sources))
@@ -168,80 +143,34 @@ class PriorityMachine:
         self.backlog = 0.0
         #: total first-priority service performed so far (for load audits)
         self.p1_service_done = 0.0
-        self._heap: list[tuple[float, int, float, int]] = []
-        self._counter = 0
         # Generators are lazy: nothing is drawn from `gen` until the first
-        # block is pulled, so both kernels consume the shared generator in
-        # the same order (stream index order at first, block-exhaustion
-        # order afterwards).
+        # block is pulled, so the kernel consumes the shared generator in
+        # a merge heap's order (stream index order at first,
+        # block-exhaustion order afterwards).
         self._streams: list[_EventBuffer] = [
             _EventBuffer(source.stream_blocks(0.0, gen)) for source in self._sources
         ]
         self._streams.extend(
             _EventBuffer.from_stream(stream) for stream in shared_streams
         )
-        self.kernel = kernel
-        self._batched = kernel == "batched" or (
-            kernel == "auto" and bool(self._streams)
-        )
-        if self._batched:
-            n = len(self._streams)
-            # merged event queue (pop-ordered), consumed by cursor
-            self._qt: list[float] = []
-            self._qs: list[float] = []
-            self._qpos = 0
-            # per-stream buffered-but-unmerged (times, services) slices
-            self._pend: list[tuple[np.ndarray, np.ndarray] | None] = [None] * n
-            self._dry = [False] * n
-            self._all_dry = n == 0
-            # heap-equivalent tie-break state: last-pop sequence number per
-            # stream (initialized below any real pop, in stream order — the
-            # initial heap push order)
-            self._last_pop = [sid - n for sid in range(n)]
-            self._pop_seq = 0
-            # streams whose buffers the previous merge fully consumed, in
-            # the order their last events pop — the next refill draws their
-            # blocks in exactly that order (the heap kernel's draw order)
-            self._exhaust_order: list[int] = []
-        else:
-            for sid in range(len(self._streams)):
-                self._pull(sid)
-        # The kernel's entry points, fixed here so no caller branches on the
-        # kernel.  They are stored as plain functions and called with the
-        # node, ``node._serve(node, work)``: a bound method kept on the node
-        # would be a reference cycle, and a finished cluster's buffers would
-        # then wait for the cyclic collector instead of being freed at once.
-        cls = type(self)
-        if self._batched:
-            self._serve, self._advance = cls._serve_batched, cls._advance_batched
-        else:
-            self._serve, self._advance = cls._serve_scalar, cls._advance_scalar
-
-    # -- event plumbing (scalar heap kernel) ----------------------------------
-
-    def _pull(self, stream_id: int) -> None:
-        """Fetch the next event of *stream_id* into the heap (if any)."""
-        event = self._streams[stream_id].next_event()
-        if event is None:
-            return
-        t, service = event
-        if not (0.0 <= service < math.inf and -math.inf < t < math.inf):
-            raise _bad_event(stream_id, t, service)
-        self._counter += 1
-        heapq.heappush(self._heap, (t, self._counter, service, stream_id))
-
-    def _next_arrival_time(self) -> float:
-        return self._heap[0][0] if self._heap else math.inf
-
-    def _absorb_next_arrival(self) -> None:
-        """Move the earliest pending event into the backlog and refill."""
-        t, _, service, stream_id = heapq.heappop(self._heap)
-        if t < self.clock - 1e-9:
-            raise RuntimeError(
-                f"event at t={t} arrived in the past (clock={self.clock})"
-            )
-        self.backlog += service
-        self._pull(stream_id)
+        n = len(self._streams)
+        # merged event queue (pop-ordered), consumed by cursor
+        self._qt: list[float] = []
+        self._qs: list[float] = []
+        self._qpos = 0
+        # per-stream buffered-but-unmerged (times, services) slices
+        self._pend: list[tuple[np.ndarray, np.ndarray] | None] = [None] * n
+        self._dry = [False] * n
+        self._all_dry = n == 0
+        # heap-equivalent tie-break state: last-pop sequence number per
+        # stream (initialized below any real pop, in stream order — the
+        # initial heap push order)
+        self._last_pop = [sid - n for sid in range(n)]
+        self._pop_seq = 0
+        # streams whose buffers the previous merge fully consumed, in the
+        # order their last events pop — the next refill draws their blocks
+        # in exactly that order (a merge heap's draw order)
+        self._exhaust_order: list[int] = []
 
     # -- load bookkeeping ------------------------------------------------------
 
@@ -258,7 +187,7 @@ class PriorityMachine:
         The application starts at the current clock and completes once it
         has accumulated *work* seconds of service under strict priority.
         """
-        return self._serve(self, check_nonnegative("work", float(work)))
+        return self._serve(check_nonnegative("work", float(work)))
 
     def advance_to(self, t: float) -> None:
         """Idle the application until time *t* (a barrier wait).
@@ -271,77 +200,22 @@ class PriorityMachine:
             raise ValueError(f"cannot advance to a non-finite time {t}")
         if t < self.clock - 1e-9:
             raise ValueError(f"cannot advance backwards: clock={self.clock}, t={t}")
-        self._advance(self, t)
+        self._advance(t)
 
-    def _serve_scalar(self, work: float) -> float:
-        remaining = work
-        while True:
-            next_t = self._next_arrival_time()
-            if self.backlog > 0.0:
-                drain_at = self.clock + self.backlog
-                if drain_at <= self.clock:
-                    # Backlog below the clock's float resolution: drained.
-                    self.p1_service_done += self.backlog
-                    self.backlog = 0.0
-                    continue
-                if next_t < drain_at:
-                    served = next_t - self.clock
-                    # max() guards the one-ulp float leak when served was
-                    # computed from clock + backlog.
-                    self.backlog = max(0.0, self.backlog - served)
-                    self.p1_service_done += served
-                    self.clock = next_t
-                    self._absorb_next_arrival()
-                else:
-                    self.p1_service_done += self.backlog
-                    self.clock = drain_at
-                    self.backlog = 0.0
-            else:
-                if remaining <= 0.0:
-                    return self.clock
-                finish_at = self.clock + remaining
-                if next_t < finish_at:
-                    remaining -= next_t - self.clock
-                    self.clock = next_t
-                    self._absorb_next_arrival()
-                else:
-                    self.clock = finish_at
-                    remaining = 0.0
-                    return self.clock
-
-    def _advance_scalar(self, t: float) -> None:
-        while self.clock < t:
-            next_t = self._next_arrival_time()
-            if self.backlog > 0.0:
-                drain_at = self.clock + self.backlog
-                if drain_at <= self.clock:
-                    # Backlog below the clock's float resolution: drained.
-                    self.p1_service_done += self.backlog
-                    self.backlog = 0.0
-                    continue
-                stop_at = min(next_t, drain_at, t)
-                served = stop_at - self.clock
-                self.backlog = max(0.0, self.backlog - served)
-                self.p1_service_done += served
-                self.clock = stop_at
-            else:
-                self.clock = min(next_t, t)
-            while self._heap and self._heap[0][0] <= self.clock:
-                self._absorb_next_arrival()
-
-    # -- the batched event-horizon kernel --------------------------------------
+    # -- the event-horizon kernel ----------------------------------------------
     #
-    # The scalar kernel pays per event: a heap push/pop (tuple allocation,
-    # comparisons) plus a per-event buffer cursor with two float()
-    # conversions.  The batched kernel amortizes all of that at block
-    # granularity: it merges every stream's buffered events up to a horizon
-    # (the earliest last-buffered time across streams, so the merge is
-    # complete — no unmerged event can precede it) with one stable argsort,
-    # flattens the result to plain Python lists, and then runs the *exact*
-    # scalar arithmetic over a cursor.  Because the per-event float
-    # operations are replayed in the same order on the same values, the
-    # results are bit-identical to the heap loop — including two subtle
-    # orderings it goes out of its way to reproduce:
+    # A per-event merge heap (the test suite's oracle, `tests/oracles.py`)
+    # pays per event: a heap push/pop (tuple allocation, comparisons) plus
+    # a per-event buffer cursor with two float() conversions.  This kernel
+    # amortizes all of that at block granularity: it merges every stream's
+    # buffered events up to a horizon (the earliest last-buffered time
+    # across streams, so the merge is complete — no unmerged event can
+    # precede it) with one stable argsort, flattens the result to plain
+    # Python lists, and then runs the *exact* per-event arithmetic over a
+    # cursor.  Because the per-event float operations are replayed in the
+    # same order on the same values, the results are bit-identical to the
+    # heap loop — including two subtle orderings it goes out of its way to
+    # reproduce:
     #
     # * equal-time events from different streams pop from the heap in
     #   least-recently-popped stream order, one event per turn (each pop
@@ -354,15 +228,15 @@ class PriorityMachine:
     #   last-pop number at once.  A merge of one stream is its block order;
     # * a stream's next block is drawn from its generator right after its
     #   last buffered event is absorbed; sources sharing one RNG generator
-    #   therefore see the same draw order only if the batched kernel
-    #   defers each draw to the refill *after* the batch that consumed the
-    #   stream — and orders same-refill draws by last-event pop position.
+    #   therefore see the same draw order only if the kernel defers each
+    #   draw to the refill *after* the batch that consumed the stream — and
+    #   orders same-refill draws by last-event pop position.
     #
-    # The per-event loops `_serve_batched` and `_advance_batched` are where
-    # a simulated wave spends its time, so they call no builtin: `min()` and
-    # `max(0.0, x)` are comparisons that pick the same operand, and the head
-    # event's time is carried from one iteration to the next, re-read only
-    # when the cursor moves.  Their arguments are checked by the caller:
+    # The per-event loops `_serve` and `_advance` are where a simulated
+    # wave spends its time, so they call no builtin: `min()` and
+    # `max(0.0, x)` are comparisons that pick the same operand, and the
+    # head event's time is carried from one iteration to the next, re-read
+    # only when the cursor moves.  Their arguments are checked by the caller:
     # `serve_application` and `advance_to` check each call, and
     # `Cluster.run` checks its whole work matrix once.
 
@@ -528,7 +402,7 @@ class PriorityMachine:
             return qt, self._qs, 0, len(qt), qt[0]
         return self._qt, self._qs, pos, len(self._qt), math.inf
 
-    def _serve_batched(self, work: float) -> float:
+    def _serve(self, work: float) -> float:
         remaining = work
         clock = self.clock
         backlog = self.backlog
@@ -583,7 +457,7 @@ class PriorityMachine:
             self.p1_service_done = p1
             self._qpos = pos
 
-    def _advance_batched(self, t: float) -> None:
+    def _advance(self, t: float) -> None:
         clock = self.clock
         if not clock < t:
             return

@@ -14,8 +14,6 @@ and in experiments — with bit-identical replays:
 * :class:`FaultyEvaluator` — evaluator-layer injection: wraps any
   substrate and misbehaves on schedule (NaN / negative / mis-shaped
   observations, inconsistent barriers, raised exceptions, slowdowns);
-* :class:`FaultyFactory` — session-factory-layer injection: wraps a
-  sweep cell factory and crashes/hangs/degrades sessions per plan;
 * :class:`InjectedFault` — the exception raised by injected crashes,
   so tests can tell injected failures from real bugs;
 * :class:`DroppingTransport` / :func:`dropping_factory` — serving-layer
@@ -24,17 +22,19 @@ and in experiments — with bit-identical replays:
   reconnect-and-replay path; ``FaultPlan.server_crash_at`` schedules
   whole-server kills for the WAL crash-recovery battery.
 
-The executor-worker layer consumes :class:`FaultPlan` directly: a
-:class:`~repro.experiments.parallel.SweepTask` carries an optional
-``faults`` plan which :func:`~repro.experiments.parallel.run_trial`
-applies before and around the session.
+Sweeps inject through one layer, the executor worker, which consumes
+:class:`FaultPlan` directly: ``run_sweep(faults=plan)`` gives each
+:class:`~repro.experiments.parallel.SweepTask` the plan, and
+:func:`~repro.experiments.parallel.run_trial` applies the fault drawn for
+its (cell, trial, attempt) before and around the session — a crash or
+hang before it, a ``nan`` or ``slowdown`` :class:`FaultyEvaluator`
+around its evaluator.
 """
 
 from repro.faults.plan import FAULT_KINDS, FaultPlan, InjectedFault
 from repro.faults.inject import (
     DroppingTransport,
     FaultyEvaluator,
-    FaultyFactory,
     dropping_factory,
 )
 
@@ -43,7 +43,6 @@ __all__ = [
     "DroppingTransport",
     "FaultPlan",
     "FaultyEvaluator",
-    "FaultyFactory",
     "InjectedFault",
     "dropping_factory",
 ]

@@ -1,4 +1,4 @@
-"""Injection wrappers: broken substrates and broken session factories.
+"""Injection wrappers: broken substrates and dropped client connections.
 
 :class:`FaultyEvaluator` generalizes the ad-hoc ``BrokenEvaluator`` stubs
 the test suite used to carry: it wraps a real substrate (or a bare cost
@@ -7,27 +7,24 @@ a plain picklable object it also works inside process-pool workers, which
 is how :func:`repro.experiments.parallel.run_trial` degrades a session
 whose task drew a ``nan`` or ``slowdown`` fault.
 
-:class:`FaultyFactory` injects one layer up: it wraps a sweep cell factory
-so sessions crash/hang/degrade per a :class:`~repro.faults.FaultPlan`
-before the executor ever sees them — useful for exercising the sweep
-runner through its public ``cells`` interface alone.
+:class:`DroppingTransport` injects on the serving path: a client
+connection that dies on the schedule of
+:meth:`~repro.faults.FaultPlan.conn_drop_at`.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.faults.plan import FaultPlan, InjectedFault
+from repro.faults.plan import FaultPlan
 from repro.harmony.evaluator import DelegatingEvaluator, Evaluator
 from repro.obs.trace import emit as _obs_emit
 
 __all__ = [
     "DroppingTransport",
     "FaultyEvaluator",
-    "FaultyFactory",
     "dropping_factory",
 ]
 
@@ -115,50 +112,6 @@ class FaultyEvaluator(DelegatingEvaluator):
         # observations and the barrier so the record stays self-consistent
         y, t_step = self.inner.observe_wave(points, rng)
         return np.asarray(y, dtype=float) * self.factor, float(t_step) * self.factor
-
-
-class FaultyFactory:
-    """Wraps a sweep cell factory with plan-driven injection.
-
-    The wrapper consults :meth:`FaultPlan.fault_for_seed` with the trial
-    seed (the only task identity a factory sees): ``crash`` raises
-    :class:`InjectedFault` at build time, ``hang`` sleeps
-    ``plan.hang_seconds`` before building, ``nan``/``slowdown`` wrap the
-    built session's evaluator in a :class:`FaultyEvaluator`.  Propagates
-    the wrapped factory's ``trial_aware`` calling convention and pickles
-    whenever the factory and plan do.
-    """
-
-    def __init__(
-        self, factory: Callable, plan: FaultPlan, *, attempt: int = 0
-    ) -> None:
-        self.factory = factory
-        self.plan = plan
-        self.attempt = int(attempt)
-        self.trial_aware = bool(getattr(factory, "trial_aware", False))
-
-    def __call__(self, seed: int, trial_index: int | None = None):
-        fault = self.plan.fault_for_seed(seed, self.attempt)
-        if fault == "crash":
-            raise InjectedFault(
-                f"injected crash: factory seed {seed} attempt {self.attempt}"
-            )
-        if fault == "hang":
-            time.sleep(self.plan.hang_seconds)
-        if self.trial_aware:
-            session = self.factory(seed, trial_index)
-        else:
-            session = self.factory(seed)
-        if fault in ("nan", "slowdown") and hasattr(session, "evaluator"):
-            session.evaluator = FaultyEvaluator(
-                session.evaluator,
-                mode="nan" if fault == "nan" else "slowdown",
-                factor=self.plan.slowdown_factor,
-            )
-        return session
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"FaultyFactory({self.factory!r}, plan={self.plan!r})"
 
 
 class DroppingTransport:

@@ -2,7 +2,7 @@
 
 A :class:`FaultPlan` answers one question: *what goes wrong for attempt
 ``a`` of task ``(cell, trial)``?*  The answer is drawn from a generator
-seeded by ``SeedSequence([plan_seed, cell, trial, attempt])``, which makes
+seeded by ``SeedSequence([plan_seed, 0, cell, trial, attempt])``, which makes
 the schedule
 
 * **deterministic** — the same plan seed always yields the same faults;
@@ -92,9 +92,23 @@ class FaultPlan:
 
     # -- the schedule ----------------------------------------------------------
 
-    def _draw(self, *key: int) -> str | None:
-        """One uniform draw keyed by *key*, partitioned into fault bands."""
-        ss = np.random.SeedSequence([int(self.seed), *(int(k) for k in key)])
+    # Each schedule draws from its own SeedSequence domain, the key's
+    # second word: 0 for trial faults, 2 for server crashes and 3 for
+    # connection drops.  Changing one moves that schedule.
+
+    def fault_for(
+        self, cell_index: int, trial_index: int, attempt: int = 0
+    ) -> str | None:
+        """The fault (or None) for attempt *attempt* of task (cell, trial).
+
+        One uniform draw, partitioned into the fault bands in
+        :data:`FAULT_KINDS` order.
+        """
+        if attempt >= self.max_faulty_attempts:
+            return None
+        ss = np.random.SeedSequence(
+            [int(self.seed), 0, int(cell_index), int(trial_index), int(attempt)]
+        )
         u = float(np.random.default_rng(ss).random())
         for kind in FAULT_KINDS:
             rate = getattr(self, kind)
@@ -102,21 +116,6 @@ class FaultPlan:
                 return kind
             u -= rate
         return None
-
-    def fault_for(
-        self, cell_index: int, trial_index: int, attempt: int = 0
-    ) -> str | None:
-        """The fault (or None) for attempt *attempt* of task (cell, trial)."""
-        if attempt >= self.max_faulty_attempts:
-            return None
-        return self._draw(0, cell_index, trial_index, attempt)
-
-    def fault_for_seed(self, seed: int, attempt: int = 0) -> str | None:
-        """Seed-keyed variant for :class:`~repro.faults.FaultyFactory`,
-        which sees only the trial seed (not the cell/trial grid position)."""
-        if attempt >= self.max_faulty_attempts:
-            return None
-        return self._draw(1, seed, attempt)
 
     def expected_fault_rate(self) -> float:
         """Marginal probability a first attempt draws *any* fault."""

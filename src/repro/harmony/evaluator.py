@@ -6,7 +6,7 @@ were observed?  It returns both the per-point observations (the tuner's
 samples) and the wave's barrier time ``T_k`` (the session's cost charge).
 A substrate whose observations are a deterministic cost plus drawn noise
 (``supports_precomputed``) also answers a batch's whole wave schedule in
-one :meth:`Evaluator.observe_waves` call.
+one ``observe_waves`` call.
 
 Three substrates:
 
@@ -46,13 +46,13 @@ class Evaluator(ABC):
     #: idle throughput of the substrate (for Normalized Total Time)
     rho: float = 0.0
 
-    #: True when :meth:`observe_precomputed` and :meth:`observe_waves` may
-    #: stand in for :meth:`observe_wave` — i.e. an observation is exactly
-    #: (deterministic true cost) + (noise drawn from *rng* in wave order),
-    #: so the session may compute true costs once per batch and observe a
-    #: batch's whole wave schedule in one call.  Wrappers that intercept
-    #: ``observe_wave`` must leave this False or the interception would be
-    #: bypassed.
+    #: True when the evaluator implements ``observe_waves(f, starts, rng)``
+    #: and that call may stand in for :meth:`observe_wave` — i.e. an
+    #: observation is exactly (deterministic true cost) + (noise drawn from
+    #: *rng* in wave order), so the session may compute true costs once per
+    #: batch and observe a batch's whole wave schedule in one call.
+    #: Wrappers that intercept ``observe_wave`` must leave this False or
+    #: the interception would be bypassed.
     supports_precomputed: bool = False
 
     @abstractmethod
@@ -77,39 +77,6 @@ class Evaluator(ABC):
         Returns ``(times, t_step)``: per-point observed times ``y_p`` and
         the wave's barrier time ``T_k = max_p y_p`` (Eq. 1).
         """
-
-    def observe_precomputed(
-        self, f: np.ndarray, rng: np.random.Generator
-    ) -> tuple[np.ndarray, float]:
-        """Observe one wave whose true costs *f* were already computed.
-
-        Only meaningful when :attr:`supports_precomputed` is True; must
-        consume *rng* exactly like ``observe_wave`` on the same wave.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support precomputed observation"
-        )
-
-    def observe_waves(
-        self, f: np.ndarray, starts: np.ndarray, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Observe successive waves whose true costs *f* were already computed.
-
-        Wave *i* is ``f[starts[i]:starts[i + 1]]`` (the last runs to the
-        end).  Returns ``(times, t_steps)``: every observation in the order
-        of *f*, and each wave's barrier time.  Only meaningful when
-        :attr:`supports_precomputed` is True.  Must return, and leave *rng*
-        in the state of, one :meth:`observe_precomputed` call per wave;
-        this default makes them.
-        """
-        bounds = [*starts.tolist(), f.size]
-        waves = [
-            self.observe_precomputed(f[a:b], rng) for a, b in zip(bounds, bounds[1:])
-        ]
-        return (
-            np.concatenate([times for times, _ in waves]),
-            np.array([t_step for _, t_step in waves], dtype=float),
-        )
 
     @property
     def max_wave_size(self) -> int | None:
@@ -186,22 +153,21 @@ class FunctionEvaluator(Evaluator):
         if len(points) == 0:
             raise ValueError("cannot observe an empty wave")
         f = np.array([self.true_cost(p) for p in points], dtype=float)
-        return self.observe_precomputed(f, rng)
-
-    def observe_precomputed(
-        self, f: np.ndarray, rng: np.random.Generator
-    ) -> tuple[np.ndarray, float]:
-        f = np.asarray(f, dtype=float)
-        if f.size == 0:
-            raise ValueError("cannot observe an empty wave")
         y = self.noise.observe_batch(f, rng)
         return y, float(y.max())
 
     def observe_waves(
         self, f: np.ndarray, starts: np.ndarray, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
-        """One draw from the noise model, whose RNG contract matches, and
-        each wave's barrier time as the max over its slice (Eq. 1)."""
+        """Observe successive waves whose true costs *f* were already
+        computed, wave *i* being ``f[starts[i]:starts[i + 1]]`` (the last
+        runs to the end).
+
+        Returns every observation in the order of *f* and each wave's
+        barrier time, the max over its slice (Eq. 1).  The noise model's
+        ``observe_waves`` returns, and leaves *rng* in the state of, one
+        :meth:`observe_wave` call per wave.
+        """
         f = np.asarray(f, dtype=float)
         if f.size == 0:
             raise ValueError("cannot observe an empty wave")

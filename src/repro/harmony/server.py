@@ -532,23 +532,9 @@ class ServerSession:
             self._tell_batch()
         return False
 
-    def _absorb_reports_scalar(
-        self, tokens: np.ndarray, times: np.ndarray
-    ) -> int:
-        """Reference absorption: :meth:`_absorb_one` per measurement, in order.
-
-        Kept as the semantic spec for :meth:`_absorb_reports` — the
-        equivalence tests and the ``report_replay`` microbench drive both
-        against identical session states and require identical results.
-        Caller holds the lock and has already validated the arrays.
-        """
-        return sum(
-            self._absorb_one(token, t)
-            for token, t in zip(tokens.tolist(), times.tolist())
-        )
-
     def _absorb_reports(self, tokens: np.ndarray, times: np.ndarray) -> int:
-        """Vectorized absorption, bit-identical to the scalar reference.
+        """Vectorized absorption, bit-identical to :meth:`_absorb_one`
+        applied to each measurement in order (the test suite's oracle).
 
         The ordered replay has exactly one structural event to find: the
         batch can complete *at most once* per group (completion clears
@@ -576,7 +562,7 @@ class ServerSession:
         complete_at = -1
         if deficient.size == 0:
             # Already-satisfied batch (only reachable through a hand-built
-            # restore): the scalar reference completes on the first append.
+            # restore): in-order replay completes on the first append.
             complete_at = int(pos_in[0])
         elif np.all(np.bincount(tok_in, minlength=m)[deficient]
                     >= need[deficient]):

@@ -126,7 +126,6 @@ class TuningSession:
         controller: AdaptiveSamplingController | None = None,
         parallel_sampling: bool = False,
         record_details: bool = False,
-        batched_eval: bool = True,
         rng: int | np.random.Generator | None = None,
         tracer: "obs_trace.Tracer | None" = None,
     ) -> None:
@@ -155,10 +154,6 @@ class TuningSession:
         self.controller = controller
         self.parallel_sampling = bool(parallel_sampling)
         self.record_details = bool(record_details)
-        #: batched-evaluation fast path: True = use it whenever the evaluator
-        #: advertises ``supports_precomputed`` (bit-identical by contract),
-        #: False = the per-wave ``observe_wave`` reference
-        self.batched_eval = bool(batched_eval)
         self.rng = as_generator(rng)
         #: optional :class:`repro.obs.trace.Tracer` recording the session's
         #: per-step / per-batch events; sweep workers install one after
@@ -173,11 +168,13 @@ class TuningSession:
     def _fast_eval_active(self) -> bool:
         """Whether this batch may go through ``observe_waves``.
 
-        Resolved per batch because fault injectors swap ``self.evaluator``
-        after construction; a wrapper that intercepts ``observe_wave`` keeps
-        ``supports_precomputed`` False and turns the fast path off.
+        The evaluator alone decides, through ``supports_precomputed``.  It
+        is resolved per batch because fault injectors swap
+        ``self.evaluator`` after construction; a wrapper that intercepts
+        ``observe_wave`` keeps ``supports_precomputed`` False and turns the
+        fast path off.
         """
-        return self.batched_eval and self.evaluator.supports_precomputed
+        return self.evaluator.supports_precomputed
 
     @staticmethod
     def _check_times(times, n: int) -> tuple[np.ndarray, float]:
@@ -347,16 +344,12 @@ class TuningSession:
         n_measurements = 0
         converged_at: int | None = None
         # true_cost is deterministic by contract, and the incumbent only
-        # changes on tell(), so its cost is recomputed once per distinct
-        # configuration instead of once per recorded step.  The reference
-        # path keeps the per-step call for honest benchmarking.
+        # changes on tell(), so its cost is computed once per distinct
+        # configuration instead of once per recorded step.
         inc_cost_cache: dict[bytes, float] = {}
-        use_inc_cache = self.batched_eval
 
         def incumbent_cost() -> float:
             pt = self._incumbent()
-            if not use_inc_cache:
-                return self.evaluator.true_cost(pt)
             key = pt.tobytes()
             cost = inc_cost_cache.get(key)
             if cost is None:

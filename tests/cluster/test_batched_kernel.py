@@ -1,10 +1,11 @@
-"""The batched event-horizon kernel must be bit-identical to the scalar heap.
+"""The event-horizon kernel must be bit-identical to the per-event heap.
 
-The batched kernel replays the scalar loop's exact arithmetic over
-horizon-merged blocks, so every float it produces — clocks, backlogs,
-iteration times, barrier times — must equal the scalar kernel's output
-*bitwise*, not approximately.  The adversarial cases here pin the two
-subtle orderings the merge has to reproduce:
+:class:`PriorityMachine`'s batched kernel replays the scalar heap loop's
+exact arithmetic over horizon-merged blocks, so every float it produces —
+clocks, backlogs, iteration times, barrier times — must equal the heap
+oracle's output (``tests/oracles.py``) *bitwise*, not approximately.  The
+adversarial cases here pin the two subtle orderings the merge has to
+reproduce:
 
 * **heap tie-breaks** — equal-time events from distinct streams pop in
   least-recently-popped stream order, one event per turn (each heap pop
@@ -29,16 +30,13 @@ from repro.cluster import (
     PoissonArrivals,
 )
 from repro.cluster.machine import PriorityMachine
+from tests.oracles import HeapCluster, HeapMachine
 
 
 def _paired_machines(make_sources, seed=7, **kwargs):
-    scalar = PriorityMachine(
-        make_sources(), rng=np.random.default_rng(seed),
-        kernel="scalar", **kwargs,
-    )
+    scalar = HeapMachine(make_sources(), rng=np.random.default_rng(seed), **kwargs)
     batched = PriorityMachine(
-        make_sources(), rng=np.random.default_rng(seed),
-        kernel="batched", **kwargs,
+        make_sources(), rng=np.random.default_rng(seed), **kwargs
     )
     return scalar, batched
 
@@ -58,6 +56,8 @@ def _drive(machine, rng, steps=400, work=(0.01, 0.5), wait=(0.0, 0.4)):
 
 
 CASES = {
+    # No event streams: pure arithmetic, nothing to merge.
+    "streamless": lambda: [],
     "single_poisson": lambda: [PoissonArrivals(5.0, ExponentialService(0.05))],
     "poisson_plus_daemon": lambda: [
         PoissonArrivals(3.0, ParetoService(1.8, 0.01)),
@@ -100,20 +100,19 @@ class TestMachineBitIdentity:
         assert scalar.clock == batched.clock
 
     def test_shared_streams_bit_identical(self):
-        def build(kernel):
+        def build(machine):
             daemon = PeriodicDaemon(0.4, ExponentialService(0.03))
-            return PriorityMachine(
+            return machine(
                 [PoissonArrivals(2.0, ExponentialService(0.05))],
                 rng=np.random.default_rng(3),
                 shared_streams=[
                     daemon.stream_blocks(0.0, np.random.default_rng(99))
                 ],
                 shared_load=daemon.load,
-                kernel=kernel,
             )
 
-        a = _drive(build("scalar"), np.random.default_rng(5))
-        b = _drive(build("batched"), np.random.default_rng(5))
+        a = _drive(build(HeapMachine), np.random.default_rng(5))
+        b = _drive(build(PriorityMachine), np.random.default_rng(5))
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
@@ -150,7 +149,7 @@ class TestMergeTieBookkeeping:
     )
     @settings(max_examples=40, deadline=None)
     def test_kernels_agree_bitwise(self, daemons, rate, shared, seed, steps):
-        def build(kernel):
+        def build(machine):
             sources = [
                 PeriodicDaemon(period, ExponentialService(mean), phase=phase)
                 for period, phase, mean in daemons
@@ -163,25 +162,28 @@ class TestMergeTieBookkeeping:
                 )
                 streams = [daemon.stream_blocks(0.0, np.random.default_rng(seed + 1))]
                 load = daemon.load
-            return PriorityMachine(
+            return machine(
                 sources, rng=np.random.default_rng(seed), shared_streams=streams,
-                shared_load=load, kernel=kernel,
+                shared_load=load,
             )
 
-        def run(kernel):
+        def run(machine):
             return _drive(
-                build(kernel), np.random.default_rng(seed), steps=steps,
+                build(machine), np.random.default_rng(seed), steps=steps,
                 work=(0.01, 0.6), wait=(0.0, 0.6),
             )
 
-        assert np.asarray(run("scalar")).tobytes() == np.asarray(run("batched")).tobytes()
+        assert (
+            np.asarray(run(HeapMachine)).tobytes()
+            == np.asarray(run(PriorityMachine)).tobytes()
+        )
 
 
 class TestClusterBitIdentity:
     @pytest.mark.parametrize("seed", [0, 11, 202])
     def test_private_and_shared_sources(self, seed):
-        def run(kernel):
-            cluster = Cluster(
+        def run(cluster_class):
+            cluster = cluster_class(
                 4,
                 private_sources=[
                     PoissonArrivals(3.0, ExponentialService(0.04)),
@@ -189,49 +191,34 @@ class TestClusterBitIdentity:
                 ],
                 shared_sources=[PeriodicDaemon(1.0, ExponentialService(0.1))],
                 seed=seed,
-                kernel=kernel,
             )
             return cluster.run(1.0, 120)
 
-        a = run("scalar")
-        b = run("batched")
+        a = run(HeapCluster)
+        b = run(Cluster)
         assert a.times.tobytes() == b.times.tobytes()
         assert a.barrier_times.tobytes() == b.barrier_times.tobytes()
 
-    def test_auto_matches_batched(self):
-        def run(kernel):
-            return Cluster(
-                2,
-                private_sources=[PoissonArrivals(5.0, ExponentialService(0.05))],
-                seed=21,
-                kernel=kernel,
-            ).run(1.0, 60)
+    def test_streamless_cluster(self):
+        # No sources: the iteration times are the work alone, divided by
+        # the node's speed, and the barrier is the slowest node.
+        def run(cluster_class):
+            cluster = cluster_class(
+                8, speed_factors=[1.0, 0.5, 2.0, 0.75, 1.25, 3.0, 0.3, 1.1],
+                seed=5,
+            )
+            return cluster.run(lambda p, k: 0.1 + 0.01 * ((p * 7 + k * 3) % 11), 50)
 
-        assert (
-            run("auto").times.tobytes() == run("batched").times.tobytes()
-        )
+        a = run(HeapCluster)
+        b = run(Cluster)
+        assert a.times.tobytes() == b.times.tobytes()
+        assert a.barrier_times.tobytes() == b.barrier_times.tobytes()
 
-
-class TestKernelParameter:
-    def test_invalid_kernel_rejected(self):
-        with pytest.raises(ValueError, match="kernel"):
-            PriorityMachine(kernel="vectorized")
-
-    def test_auto_prefers_batched_with_streams(self):
-        m = PriorityMachine(
-            [PoissonArrivals(1.0, ExponentialService(0.1))],
-            rng=0,
-        )
-        assert m._batched is True
-
-    def test_auto_falls_back_to_scalar_without_streams(self):
-        assert PriorityMachine()._batched is False
-
-    def test_cluster_passes_kernel_through(self):
-        cluster = Cluster(
-            2,
-            private_sources=[PoissonArrivals(1.0, ExponentialService(0.1))],
+    def test_the_oracle_cluster_runs_heap_nodes(self):
+        # Guards the comparisons above against running one kernel twice.
+        cluster = HeapCluster(
+            2, private_sources=[PoissonArrivals(1.0, ExponentialService(0.1))],
             seed=0,
-            kernel="scalar",
         )
-        assert all(node._batched is False for node in cluster.nodes)
+        assert all(type(node) is HeapMachine for node in cluster.nodes)
+        assert all(type(node) is PriorityMachine for node in Cluster(2, seed=0).nodes)

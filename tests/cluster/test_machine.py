@@ -17,6 +17,12 @@ from repro.cluster import (
     PoissonArrivals,
     PriorityMachine,
 )
+from tests.oracles import HeapMachine
+
+#: both kernels, under the ids the tests have always carried
+KERNELS = pytest.mark.parametrize(
+    "machine", [HeapMachine, PriorityMachine], ids=["scalar", "batched"]
+)
 
 
 class TestNoWorkload:
@@ -36,12 +42,12 @@ class TestNoWorkload:
         with pytest.raises(ValueError):
             m.advance_to(4.0)
 
-    @pytest.mark.parametrize("kernel", ["scalar", "batched"])
+    @KERNELS
     @pytest.mark.parametrize("t", [math.nan, math.inf])
-    def test_non_finite_advance_rejected(self, kernel, t):
+    def test_non_finite_advance_rejected(self, machine, t):
         # NaN compares false to the backwards check, and a wait until
         # infinity never ends on an unbounded stream.
-        m = PriorityMachine(kernel=kernel)
+        m = machine()
         with pytest.raises(ValueError, match="non-finite"):
             m.advance_to(t)
         assert m.clock == 0.0
@@ -174,14 +180,15 @@ class TestFloatRobustness:
 
 
 class TestBadEvents:
-    """Both kernels reject an event whose arrival time is not finite or
-    whose service demand is negative or not finite, naming its stream.
+    """The kernel and its heap oracle reject an event whose arrival time
+    is not finite or whose service demand is negative or not finite,
+    naming its stream.
 
     The streams are finite, so a kernel that let such an event through
     would run to the end and fail the assertion instead of hanging.
     """
 
-    @pytest.mark.parametrize("kernel", ["scalar", "batched"])
+    @KERNELS
     @pytest.mark.parametrize(
         "event, message",
         [
@@ -193,10 +200,9 @@ class TestBadEvents:
         ],
         ids=["nan-service", "inf-service", "negative-service", "nan-time", "inf-time"],
     )
-    def test_rejected_with_its_stream(self, kernel, event, message):
-        m = PriorityMachine(
+    def test_rejected_with_its_stream(self, machine, event, message):
+        m = machine(
             shared_streams=[iter([(0.5, 0.1), (2.0, 0.1)]), iter([(0.25, 0.05), event])],
-            kernel=kernel,
         )
         with pytest.raises(ValueError, match=re.escape(message)):
             m.serve_application(5.0)
@@ -206,6 +212,6 @@ class TestBadEvents:
         def blocks():
             yield np.array([1.0, 0.5]), np.array([0.1, 0.1])
 
-        m = PriorityMachine(shared_streams=[blocks()], kernel="batched")
+        m = PriorityMachine(shared_streams=[blocks()])
         with pytest.raises(ValueError, match="stream 0 produced decreasing"):
             m.serve_application(1.0)

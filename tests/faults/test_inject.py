@@ -1,10 +1,10 @@
-"""FaultyEvaluator / FaultyFactory behavior at their injection layers."""
+"""FaultyEvaluator behavior at its injection layer."""
 
 import numpy as np
 import pytest
 
 from repro.core.pro import ParallelRankOrdering
-from repro.faults import FaultPlan, FaultyEvaluator, FaultyFactory, InjectedFault
+from repro.faults import FaultyEvaluator
 from repro.harmony.evaluator import DelegatingEvaluator, FunctionEvaluator
 from repro.harmony.session import TuningSession
 from repro.variability.models import ParetoNoise
@@ -82,81 +82,3 @@ class TestFaultyEvaluator:
         )
         with pytest.raises(RuntimeError, match="evaluator returned"):
             session.run()
-
-
-def make_session(seed: int) -> TuningSession:
-    from repro.apps.synthetic import quadratic_problem
-
-    problem = quadratic_problem(2)
-    return TuningSession(
-        ParallelRankOrdering(problem.space), problem.objective, budget=20, rng=seed
-    )
-
-
-class TestFaultyFactory:
-    def test_crash_raises_injected_fault(self):
-        factory = FaultyFactory(make_session, FaultPlan(seed=0, crash=1.0))
-        with pytest.raises(InjectedFault, match="injected crash"):
-            factory(1234)
-
-    def test_clean_seed_builds_normally(self):
-        factory = FaultyFactory(make_session, FaultPlan(seed=0))
-        session = factory(1234)
-        assert isinstance(session, TuningSession)
-
-    def test_attempts_beyond_max_are_clean(self):
-        plan = FaultPlan(seed=0, crash=1.0, max_faulty_attempts=1)
-        assert isinstance(
-            FaultyFactory(make_session, plan, attempt=1)(1234), TuningSession
-        )
-
-    def test_nan_fault_wraps_evaluator(self):
-        factory = FaultyFactory(make_session, FaultPlan(seed=0, nan=1.0))
-        session = factory(1234)
-        assert isinstance(session.evaluator, FaultyEvaluator)
-        assert session.evaluator.mode == "nan"
-        with pytest.raises(RuntimeError, match="evaluator returned"):
-            session.run()
-
-    def test_slowdown_fault_wraps_evaluator_with_plan_factor(self):
-        plan = FaultPlan(seed=0, slowdown=1.0, slowdown_factor=7.5)
-        session = FaultyFactory(make_session, plan)(1234)
-        assert isinstance(session.evaluator, FaultyEvaluator)
-        assert session.evaluator.mode == "slowdown"
-        assert session.evaluator.factor == 7.5
-
-    def test_propagates_trial_aware_convention(self):
-        calls = []
-
-        class TrialAware:
-            trial_aware = True
-
-            def __call__(self, seed, trial):
-                calls.append((seed, trial))
-                return make_session(seed)
-
-        factory = FaultyFactory(TrialAware(), FaultPlan(seed=0))
-        assert factory.trial_aware
-        factory(77, 3)
-        assert calls == [(77, 3)]
-
-    def test_schedule_keyed_by_seed_is_deterministic(self):
-        plan = FaultPlan(seed=9, crash=0.5)
-        factory = FaultyFactory(make_session, plan)
-        seeds = list(range(100, 140))
-        fates = []
-        for s in seeds:
-            try:
-                factory(s)
-                fates.append("ok")
-            except InjectedFault:
-                fates.append("crash")
-        replay = []
-        for s in seeds:
-            try:
-                FaultyFactory(make_session, plan)(s)
-                replay.append("ok")
-            except InjectedFault:
-                replay.append("crash")
-        assert fates == replay
-        assert set(fates) == {"ok", "crash"}

@@ -1,6 +1,5 @@
 """FaultPlan contract: deterministic, order-independent, retry-aware."""
 
-import numpy as np
 import pytest
 
 from repro.faults import FAULT_KINDS, FaultPlan
@@ -91,22 +90,6 @@ class TestSchedule:
     def test_zero_max_faulty_attempts_disables_injection(self):
         plan = FaultPlan(seed=23, crash=1.0, max_faulty_attempts=0)
         assert all(plan.fault_for(c, t) is None for c in range(4) for t in range(4))
-
-    def test_seed_keyed_variant_deterministic(self):
-        plan = FaultPlan(seed=31, crash=0.5)
-        seeds = np.random.default_rng(0).integers(0, 2**63 - 1, size=20)
-        first = [plan.fault_for_seed(int(s)) for s in seeds]
-        again = [plan.fault_for_seed(int(s)) for s in seeds]
-        assert first == again
-        assert set(first) == {None, "crash"}
-
-    def test_seed_and_grid_keys_use_disjoint_streams(self):
-        # fault_for(cell, trial) and fault_for_seed(seed) must not collide
-        # even when the integers coincide.
-        plan = FaultPlan(seed=31, crash=0.5)
-        grid = [plan.fault_for(0, t) for t in range(64)]
-        keyed = [plan.fault_for_seed(t) for t in range(64)]
-        assert grid != keyed
 
     def test_expected_fault_rate(self):
         plan = FaultPlan(seed=0, crash=0.1, hang=0.2, nan=0.05)

@@ -1,8 +1,9 @@
 """Bit-identity of the session's batched-evaluation fast path.
 
-``batched_eval=True`` (the default) observes each batch's whole wave
-schedule in one ``observe_waves`` call whenever the evaluator supports it;
-``False`` is the per-wave ``observe_wave`` reference.  The two must produce
+A session observes each batch's whole wave schedule in one
+``observe_waves`` call whenever the evaluator advertises
+``supports_precomputed``; ``tests/oracles.per_wave`` hides that, which
+leaves the per-wave ``observe_wave`` reference.  The two must produce
 bitwise identical :class:`SessionResult` records — the fast path is an
 optimization, never a semantic change — the fast path must keep every
 validation check, and fault-injecting wrappers must transparently turn it
@@ -32,6 +33,7 @@ from repro.variability import (
     SpikeMixtureNoise,
     TruncatedParetoNoise,
 )
+from tests.oracles import per_wave
 
 SPACE = ParameterSpace([IntParameter(f"x{i}", -8, 8) for i in range(4)])
 
@@ -43,11 +45,11 @@ def rugged(point) -> float:
 
 def make_session(evaluator, seed, batched):
     # Evaluator instances carry their own noise model; bare callables get one.
-    noise = None if isinstance(evaluator, Evaluator) else ParetoNoise(rho=0.2)
+    if not isinstance(evaluator, Evaluator):
+        evaluator = FunctionEvaluator(evaluator, ParetoNoise(rho=0.2))
     return TuningSession(
-        ParallelRankOrdering(SPACE), evaluator, noise=noise,
-        budget=40, plan=SamplingPlan(2), batched_eval=batched,
-        rng=seed,
+        ParallelRankOrdering(SPACE), evaluator if batched else per_wave(evaluator),
+        budget=40, plan=SamplingPlan(2), rng=seed,
     )
 
 
@@ -81,8 +83,8 @@ class TestBatchedEvalEquivalence:
 
     def test_faulty_evaluator_opts_out_of_fast_path(self):
         # FaultyEvaluator injects by intercepting observe_wave, so it must
-        # keep the fast path off even when batched_eval is left at True —
-        # otherwise a scheduled fault would silently never fire.
+        # keep the fast path off on its own — otherwise a scheduled fault
+        # would silently never fire.
         assert FaultyEvaluator.supports_precomputed is False
 
         def faulty():
@@ -148,12 +150,13 @@ def case_record(case, batched):
         AdaptiveSamplingController(k_initial=case["k"], k_max=6)
         if case["controller"] else None
     )
+    evaluator = FunctionEvaluator(rugged, NOISES[case["noise"]]())
     session = TuningSession(
-        tuner, FunctionEvaluator(rugged, NOISES[case["noise"]]()),
+        tuner, evaluator if batched else per_wave(evaluator),
         budget=case["budget"], n_processors=case["p"],
         plan=SamplingPlan(case["k"]), controller=controller,
         parallel_sampling=case["parallel"], record_details=True,
-        batched_eval=batched, rng=case["seed"],
+        rng=case["seed"],
     )
     result = session.run()
     return {

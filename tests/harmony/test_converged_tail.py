@@ -3,11 +3,11 @@
 Once the tuner has converged on an evaluator that takes precomputed costs,
 the session observes the incumbent for all remaining steps with one
 ``observe_waves`` call over one-point waves.  Against the per-step loop
-(``batched_eval=False``) the record, the trace and the generator's final
-state must be identical, with and without a tracer and ``record_details``.
-Models whose draws interleave (spike mixture) or carry state
-(Markov-modulated) stay on the base method's per-wave loop and must match
-too.
+(the evaluator behind ``tests/oracles.per_wave``) the record, the trace
+and the generator's final state must be identical, with and without a
+tracer and ``record_details``.  Models whose draws interleave (spike
+mixture) or carry state (Markov-modulated) stay on the base method's
+per-wave loop and must match too.
 """
 
 import numpy as np
@@ -30,6 +30,7 @@ from repro.variability import (
     SpikeMixtureNoise,
     TruncatedParetoNoise,
 )
+from tests.oracles import per_wave
 
 SURROGATE = GS2Surrogate()
 SPACE = SURROGATE.space()
@@ -49,13 +50,13 @@ VECTORIZED = ("none", "pareto", "truncated")
 def run_session(noise, seed, *, batched, traced=False, details=False):
     db = PerformanceDatabase.from_function(SURROGATE, SPACE, fraction=0.3, rng=1)
     tracer = Tracer(label="session") if traced else None
+    evaluator = FunctionEvaluator(db, NOISES[noise]())
     session = TuningSession(
         ParallelRankOrdering(SPACE, r=0.2),
-        FunctionEvaluator(db, NOISES[noise]()),
+        evaluator if batched else per_wave(evaluator),
         budget=BUDGET,
         plan=SamplingPlan(2),
         record_details=details,
-        batched_eval=batched,
         rng=seed,
         tracer=tracer,
     )

@@ -2,7 +2,8 @@
 
 ``ServerSession._absorb_reports`` (one stable argsort + grouped slice
 extends) replaced the per-report Python loop on the batched ingest path;
-the loop survives as ``_absorb_reports_scalar``, the semantic reference.
+the loop survives as ``tests/oracles.absorb_reports_scalar``, the semantic
+reference.
 The contract is *ordered scalar replay*: absorbing a report group must be
 indistinguishable — same stale counts, same per-candidate sample lists,
 same assignment ledger, same batch-completion point (and therefore the
@@ -23,6 +24,7 @@ from repro.core.sampling import MinEstimator, SamplingPlan
 from repro.harmony.server import TuningServer
 from repro.search.random_search import RandomSearch
 from repro.space import IntParameter, ParameterSpace
+from tests.oracles import absorb_reports_scalar
 
 
 def make_space():
@@ -51,7 +53,7 @@ def _assert_states_equal(scalar, vector):
 def _absorb_both(scalar, vector, tokens, times):
     tokens = np.asarray(tokens, dtype=np.int64)
     times = np.asarray(times, dtype=np.float64)
-    stale_s = scalar._absorb_reports_scalar(tokens, times)
+    stale_s = absorb_reports_scalar(scalar, tokens, times)
     stale_v = vector._absorb_reports(tokens, times)
     assert stale_s == stale_v, (
         f"stale diverged: scalar {stale_s} vector {stale_v} for {tokens}"
@@ -116,7 +118,7 @@ def test_completion_mid_group_stales_the_tail():
     # problem — append tokens that would be in-range for the *next* batch
     tail = np.concatenate([tokens, np.array([0, 1, -1, m + 3])])
     times = 1.0 + np.arange(tail.size, dtype=np.float64)
-    stale_s = scalar._absorb_reports_scalar(tail, times)
+    stale_s = absorb_reports_scalar(scalar, tail, times)
     stale_v = vector._absorb_reports(tail, times)
     assert stale_s == stale_v == 3  # the two in-range tails + out-of-range
     _assert_states_equal(scalar, vector)

@@ -1,12 +1,14 @@
 """Unit tests for the bench_smoke regression guard (benchmarks/compare_bench.py)."""
 
 import json
+import platform
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 
 from compare_bench import CEILINGS, FLOORS, GUARDED, compare, main  # noqa: E402
+import test_server_throughput as bench_writer  # noqa: E402
 
 
 def payload(sweep=3.0, cluster=2.5, obs=0.01, sweep_cpu=0.9, wal=0.05,
@@ -245,3 +247,55 @@ class TestMain:
         assert main(["--baseline", base, "--current", str(tmp_path / "nope.json")]) == 2
         cur = self._write(tmp_path, "cur.json", payload())
         assert main(["--baseline", base, "--current", cur, "--tolerance", "1.5"]) == 2
+
+
+class TestRunStamps:
+    """Which lines this run rewrote, and on what host: report only."""
+
+    def _write(self, tmp_path, name, data):
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    def test_writer_stamps_the_file_and_each_key(self, tmp_path, monkeypatch):
+        path = tmp_path / "bench.json"
+        section = {"speedup": 2.0, "run_ids": {"speedup": "old"}}
+        path.write_text(json.dumps({"server": section}))
+        monkeypatch.setattr(bench_writer, "BENCH_JSON", path)
+        bench_writer._update_bench_json("server", {"report_replay_speedup": 3.0})
+        data = json.loads(path.read_text())
+        run_id = bench_writer.RUN_ID
+        assert data["run_id"] == run_id
+        assert data["python"] == platform.python_version()
+        assert data["server"]["run_ids"] == {
+            "speedup": "old", "report_replay_speedup": run_id
+        }
+
+    def test_marks_lines_this_run_did_not_rewrite(self, tmp_path, capsys):
+        current = payload()
+        current["run_id"] = "r2"
+        current["cluster_step"]["run_ids"] = {"speedup": "r2"}
+        current["server"]["run_ids"] = {"report_replay_speedup": "r1"}
+        base = self._write(tmp_path, "base.json", payload())
+        cur = self._write(tmp_path, "cur.json", current)
+        assert main(["--baseline", base, "--current", cur]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        marked = {line.split(":")[0] for line in lines if "not rewritten" in line}
+        assert "server.report_replay_speedup" in marked
+        assert "cluster_step.speedup" not in marked
+        # an unstamped file marks nothing
+        cur = self._write(tmp_path, "plain.json", payload())
+        assert main(["--baseline", base, "--current", cur]) == 0
+        assert "not rewritten" not in capsys.readouterr().out
+
+    def test_prints_context_only_when_it_differs(self, tmp_path, capsys):
+        stamped = dict(payload(), cpu_count=2, python="3.11.7")
+        base = self._write(tmp_path, "base.json", stamped)
+        same = self._write(tmp_path, "same.json", stamped)
+        assert main(["--baseline", base, "--current", same]) == 0
+        assert "context differs" not in capsys.readouterr().out
+        other = self._write(tmp_path, "other.json", dict(stamped, cpu_count=4))
+        assert main(["--baseline", base, "--current", other]) == 0
+        out = capsys.readouterr().out
+        assert "cpu_count baseline=2 current=4" in out
+        assert "python baseline=3.11.7 current=3.11.7" in out

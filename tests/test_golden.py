@@ -47,6 +47,7 @@ from tests.cluster.test_batched_kernel import CASES as MACHINE_CASES
 from tests.experiments.test_parallel import SPACE, QuadCell, quad_objective
 from tests.harmony.test_batched_eval import SPACE as RUGGED_SPACE
 from tests.harmony.test_batched_eval import rugged
+from tests.oracles import HeapCluster, per_wave
 
 CELLS = [("k1", QuadCell(k=1, budget=20)), ("k2", QuadCell(k=2, budget=20))]
 
@@ -188,7 +189,7 @@ def test_wal_recovery_trace_snapshot(golden_jsonl, tmp_path):
 # the batch-size edges, the mean and median estimators, random search, a
 # slowdown fault injector, a simulated cluster and one traced run per
 # discipline.  Each case runs on the batched fast path and on the per-wave
-# reference, which must agree exactly.  Records spell floats in hex and end
+# reference (``tests/oracles.per_wave``), which must agree exactly.  Records spell floats in hex and end
 # with the generator's state; the snapshot keeps every case's SHA-256 and
 # the full record of a few.
 
@@ -233,7 +234,7 @@ def _wave_cases():
     return cases
 
 
-def _wave_session(case, seed, batched_eval):
+def _wave_session(case, seed, reference):
     estimator = {"mean": MeanEstimator(), "median": MedianEstimator()}.get(
         case.get("estimator"), MinEstimator()
     )
@@ -251,6 +252,8 @@ def _wave_session(case, seed, batched_eval):
             seed=seed,
         )
         evaluator = ClusterEvaluator(rugged, cluster)
+    if reference:
+        evaluator = per_wave(evaluator)
     controller = (
         AdaptiveSamplingController(k_initial=case["k"], k_max=4)
         if case["controller"] else None
@@ -259,7 +262,7 @@ def _wave_session(case, seed, batched_eval):
         tuner, evaluator, budget=case["budget"],
         n_processors=case["n_processors"], plan=plan, controller=controller,
         parallel_sampling=case["parallel_sampling"], record_details=True,
-        batched_eval=batched_eval, rng=seed,
+        rng=seed,
         tracer=Tracer(label="session") if case.get("traced") else None,
     )
 
@@ -289,8 +292,8 @@ def _wave_record(session):
 def test_session_waves_snapshot(golden_text):
     digests, records = {}, {}
     for seed, (name, case) in enumerate(sorted(_wave_cases().items()), 100):
-        fast = _wave_record(_wave_session(case, seed, batched_eval=True))
-        reference = _wave_record(_wave_session(case, seed, batched_eval=False))
+        fast = _wave_record(_wave_session(case, seed, reference=False))
+        reference = _wave_record(_wave_session(case, seed, reference=True))
         assert fast == reference, f"{name}: fast path diverged from the reference"
         canonical = json.dumps(fast, sort_keys=True)
         digests[name] = hashlib.sha256(canonical.encode()).hexdigest()
@@ -448,8 +451,9 @@ def test_server_state_bytes_snapshot(golden_text, tmp_path):
 #
 # Per run, the SHA-256 of every iteration time, every barrier time and each
 # node's final (clock, backlog, p1_service_done), as little-endian float64
-# bytes.  The batched kernel and the scalar heap kernel must both reproduce
-# them, so a change to either that moves one float operation moves a digest.
+# bytes.  The batched kernel and the scalar heap oracle (``tests/oracles.py``)
+# must both reproduce them, so a change to either that moves one float
+# operation moves a digest.
 # Runs: the Fig. 3 sources on 32 nodes wave by wave (the ClusterEvaluator
 # pattern) and as one long run, each machine-level bit-identity case on a
 # small cluster, heterogeneous speeds, callable costs, and integer daemon
@@ -520,6 +524,8 @@ def _cluster_cases():
         ),
     }
     for name, make_sources in sorted(MACHINE_CASES.items()):
+        if not make_sources():
+            continue  # a stream-less node's times are its work: nothing to pin
         cases[f"machine-{name}"] = (
             dict(n_nodes=4, private_sources=make_sources(), seed=11),
             _waves(4, 60, 0.01, 0.5, seed=12) + [(0.25, 60)],
@@ -532,8 +538,8 @@ def _sha256(values):
     return hashlib.sha256(data).hexdigest()
 
 
-def _cluster_record(kernel, kwargs, schedule):
-    cluster = Cluster(kernel=kernel, **kwargs)
+def _cluster_record(cluster_class, kwargs, schedule):
+    cluster = cluster_class(**kwargs)
     traces = [cluster.run(costs, n) for costs, n in schedule]
     states = [(n.clock, n.backlog, n.p1_service_done) for n in cluster.nodes]
     return {
@@ -544,10 +550,12 @@ def _cluster_record(kernel, kwargs, schedule):
     }
 
 
-@pytest.mark.parametrize("kernel", ["scalar", "batched"])
-def test_cluster_traces_snapshot(golden_text, kernel):
+@pytest.mark.parametrize(
+    "cluster_class", [HeapCluster, Cluster], ids=["scalar", "batched"]
+)
+def test_cluster_traces_snapshot(golden_text, cluster_class):
     records = {
-        name: _cluster_record(kernel, kwargs, schedule)
+        name: _cluster_record(cluster_class, kwargs, schedule)
         for name, (kwargs, schedule) in _cluster_cases().items()
     }
     text = json.dumps(records, indent=1, sort_keys=True) + "\n"
